@@ -52,7 +52,7 @@ from wittengap.shrinkers import (
     write_curve_csv,
 )
 from wittengap.spectral import (
-    LanczosConvergenceError,
+    EigensolverConvergenceError,
     SpectralResult,
     WeightedComplex,
     apply_weight,
@@ -81,7 +81,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundInput",
     "EigenSolution",
-    "LanczosConvergenceError",
+    "EigensolverConvergenceError",
     "OptimalS",
     "OUProblem",
     "SCHEMA_VERSION",

@@ -11,9 +11,9 @@ masses by exp(-phi_i) is exactly the discrete change of measure
 Constructors cover the two geometric families used by the verification
 suite: uniform circles (second differences along arclength) and
 icospheres (cotangent edge weights with barycentric lumped mass).
-``lambda1_witten`` computes the bottom of the nonzero spectrum, densely
-up to 3000 vertices and by Lanczos iteration with full
-reorthogonalization and explicit deflation beyond that.
+``lambda1_witten`` computes the bottom of the nonzero spectrum with one
+sparse shift-invert Lanczos solve (ARPACK) of the generalized pencil,
+whatever the size of the complex.
 ``graph_diameter`` estimates the intrinsic diameter from shortest paths
 with chord-length edges.
 """
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .bounds import BoundInput, andrews_ni_bound, futaki_sano_bound, sup_bound_closed
 from .report import VerificationReport, make_report
@@ -35,7 +35,7 @@ from .sturm import EXPONENT_GUARD, MeasureUnderflowError
 __all__ = [
     "WeightedComplex",
     "SpectralResult",
-    "LanczosConvergenceError",
+    "EigensolverConvergenceError",
     "build_weighted_circle",
     "build_icosphere",
     "apply_weight",
@@ -48,15 +48,20 @@ __all__ = [
     "write_eigenvector_csv",
 ]
 
-DENSE_CUTOFF = 3000
+# shift of the shift-invert solve: below the spectrum, so S - SHIFT M is
+# positive definite, and close to the kernel relative to lambda_1
+SHIFT = -1e-3
+# Lanczos basis size per ARPACK restart.  A single-vector Krylov method
+# finds further copies of a repeated eigenvalue only as rounding lets them
+# grow; with ARPACK's default basis (20) the round icospheres lose copies
+# of their 5-fold second level.  From 35 on, circles of 8 to 2048 points
+# and icospheres up to subdivision 5, round and height-weighted, return
+# every copy.
+KRYLOV_DIM = 40
 
 
-class LanczosConvergenceError(RuntimeError):
-    """Lanczos hit its iteration cap; ``best_ritz`` carries the estimate."""
-
-    def __init__(self, message: str, best_ritz: float):
-        super().__init__(message)
-        self.best_ritz = best_ritz
+class EigensolverConvergenceError(RuntimeError):
+    """The sparse eigensolver hit its restart cap before converging."""
 
 
 @dataclass
@@ -113,15 +118,13 @@ class SpectralResult:
     order (``lambda1`` is its first entry), ``eigenvector`` the
     mass-normalized first eigenvector, ``residual`` its eigen-residual in
     the mass pairing, ``multiplicity_gap`` the relative jump from the
-    lambda1 cluster to the next distinct level, and ``diameter_estimate``
-    the shortest-path diameter of the complex.
+    lambda1 cluster to the next distinct level.
     """
 
     lambda1: float
     multiplicity_gap: float
     eigenvector: np.ndarray
     residual: float
-    diameter_estimate: float
     eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -320,132 +323,60 @@ def build_icosphere(subdivisions: int) -> WeightedComplex:
     )
 
 
-def _symmetrized_operator(complex_: WeightedComplex):
-    """Matvec for T = M^{-1/2} S M^{-1/2} plus the unit kernel vector."""
-    S = stiffness_matrix(complex_)
-    inv_sqrt = 1.0 / np.sqrt(complex_.masses)
-    kernel = np.sqrt(complex_.masses)
-    kernel = kernel / np.linalg.norm(kernel)
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        return inv_sqrt * (S @ (inv_sqrt * x))
-
-    return matvec, kernel, inv_sqrt
-
-
-def _lanczos_smallest(matvec, n: int, deflate: list[np.ndarray], tol: float, max_iter: int, rng):
-    """Smallest Ritz pair of the operator restricted off span(deflate).
-
-    Plain Lanczos with full reorthogonalization; the deflation set is
-    projected out of every iterate, so converged directions and the
-    kernel never re-enter.  Returns (theta, vector in symmetrized
-    coordinates).  Raises LanczosConvergenceError at the iteration cap;
-    exhausting the deflated subspace (breakdown) counts as convergence.
-    """
-
-    def project(x: np.ndarray) -> np.ndarray:
-        for d in deflate:
-            x = x - d * (d @ x)
-        return x
-
-    def ritz(j: int, beta_j: float) -> tuple[float, np.ndarray, float]:
-        a = np.array(alphas[: j + 1])
-        b = np.array(betas[:j])
-        theta, s = eigh_tridiagonal(a, b, select="i", select_range=(0, 0))
-        # beta |last Ritz component| bounds the eigen-residual
-        return float(theta[0]), s[:, 0], beta_j * abs(float(s[-1, 0]))
-
-    q = project(rng.standard_normal(n))
-    q /= np.linalg.norm(q)
-    Q = np.zeros((n, max_iter))
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta_prev = math.inf
-    for j in range(max_iter):
-        Q[:, j] = q
-        w = project(matvec(q))
-        alphas.append(float(q @ w))
-        w -= alphas[-1] * q
-        if j > 0:
-            w -= betas[-1] * Q[:, j - 1]
-        # full reorthogonalization, twice for safety; the deflation set is
-        # re-projected here too, else rounding-level kernel components grow
-        # geometrically through the three-term recurrence
-        for _ in range(2):
-            w -= Q[:, : j + 1] @ (Q[:, : j + 1].T @ w)
-            w = project(w)
-        beta = float(np.linalg.norm(w))
-        breakdown = beta < 1e-13
-        if breakdown or (j >= 4 and (j % 5 == 0 or j == max_iter - 1)):
-            theta, s, bound = ritz(j, beta)
-            stagnated = abs(theta_prev - theta) <= tol * max(1.0, abs(theta))
-            if breakdown or (bound <= tol * max(1.0, abs(theta)) and stagnated):
-                v = project(Q[:, : j + 1] @ s)
-                return theta, v / np.linalg.norm(v)
-            theta_prev = theta
-        betas.append(beta)
-        q = w / beta
-    theta, _, bound = ritz(len(alphas) - 1, betas[-1])
-    raise LanczosConvergenceError(
-        f"no convergence after {len(alphas)} iterations "
-        f"(best Ritz value {theta:.12g}, residual bound {bound:.3e}, tol {tol:.1e})",
-        best_ritz=theta,
-    )
-
-
 def lambda1_witten(
     complex_: WeightedComplex,
     n_eigs: int = 6,
-    dense_cutoff: int = DENSE_CUTOFF,
     tol: float = 1e-10,
     max_iter: int = 600,
-    seed: int = 20260816,
 ) -> SpectralResult:
     """First nonzero eigenvalue of the weighted complex, with diagnostics.
 
-    Solves the generalized problem S v = lam M v restricted off the
-    constant kernel.  Up to ``dense_cutoff`` vertices this is a dense
-    symmetric eigensolve; beyond, Lanczos with full reorthogonalization
-    runs once per requested eigenvalue, explicitly deflating the kernel
-    and every converged eigenvector, so repeated eigenvalues are
-    recovered one copy at a time.  The iteration is sequential and
-    seeded, hence deterministic.
+    Solves the generalized pencil S v = lam M v, M = diag(masses), with
+    one ARPACK call in shift-invert mode.  The shift ``SHIFT`` is small
+    and negative, so S - SHIFT M is positive definite even though S has
+    the constants as kernel, and the eigenvalues nearest the shift are the
+    bottom of the spectrum.  ``n_eigs + 1`` of them are computed and the
+    kernel is dropped after checking that it separates.  The Lanczos basis
+    is ``KRYLOV_DIM`` wide so that repeated eigenvalues come out with
+    their multiplicity, and the start vector is fixed, so the solve is
+    deterministic.  ``tol`` and ``max_iter``
+    are ARPACK's relative accuracy and restart cap; when the cap is hit,
+    ``EigensolverConvergenceError`` is raised.
     """
     n = complex_.n_vertices
+    if n < 3:
+        raise ValueError(f"the sparse eigensolver needs at least 3 vertices, got {n}")
     if not complex_.is_connected():
         raise ValueError("complex is disconnected; the drift Laplacian has extra kernel")
-    n_eigs = min(n_eigs, n - 1)
-    matvec, kernel, inv_sqrt = _symmetrized_operator(complex_)
-
-    if n <= dense_cutoff:
-        S = stiffness_matrix(complex_).toarray()
-        T = inv_sqrt[:, None] * S * inv_sqrt[None, :]
-        T = 0.5 * (T + T.T)
-        values, vectors = eigh(T, subset_by_index=(0, n_eigs))
-        zero_scale = abs(values[0]) / max(1.0, abs(values[-1]))
-        if zero_scale > 1e-8:
-            raise RuntimeError(f"kernel eigenvalue did not separate: {values[:2]}")
-        eigenvalues = np.asarray(values[1:], dtype=np.float64)
-        y1 = vectors[:, 1]
-    else:
-        rng = np.random.default_rng(seed)
-        deflate = [kernel]
-        eigenvalues = np.empty(n_eigs)
-        y1 = None
-        for k in range(n_eigs):
-            theta, y = _lanczos_smallest(matvec, n, deflate, tol, max_iter, rng)
-            eigenvalues[k] = theta
-            deflate.append(y)
-            if k == 0:
-                y1 = y
-        order = np.argsort(eigenvalues)
-        eigenvalues = eigenvalues[order]
-        if order[0] != 0:
-            y1 = deflate[1 + int(order[0])]
-
-    # back to pencil coordinates, mass-orthogonal to constants
-    v = inv_sqrt * y1
+    # ARPACK needs fewer requested pairs than vertices
+    n_eigs = min(n_eigs, n - 2)
     weights = complex_.masses
+    try:
+        values, vectors = eigsh(
+            stiffness_matrix(complex_),
+            k=n_eigs + 1,
+            M=sparse.diags(weights),
+            sigma=SHIFT,
+            which="LM",
+            v0=np.cos(0.618 * np.arange(n)),
+            ncv=min(n, max(2 * n_eigs + 3, KRYLOV_DIM)),
+            tol=tol,
+            maxiter=max_iter,
+        )
+    except ArpackNoConvergence as exc:
+        raise EigensolverConvergenceError(
+            f"ARPACK shift-invert found {len(exc.eigenvalues)} of {n_eigs + 1} "
+            f"eigenpairs within {max_iter} restarts (tol {tol:.1e})"
+        ) from exc
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
+    zero_scale = abs(values[0]) / max(1.0, abs(values[-1]))
+    if zero_scale > 1e-8:
+        raise RuntimeError(f"kernel eigenvalue did not separate: {values[:2]}")
+    eigenvalues = np.asarray(values[1:], dtype=np.float64)
+
+    # mass-orthogonal to constants, unit mass norm, largest entry positive
+    v = vectors[:, 1]
     v = v - (weights @ v) / weights.sum()
     v /= math.sqrt(float(v @ (weights * v)))
     anchor = int(np.argmax(np.abs(v)))
@@ -468,7 +399,6 @@ def lambda1_witten(
         multiplicity_gap=multiplicity_gap,
         eigenvector=v,
         residual=residual,
-        diameter_estimate=graph_diameter(complex_),
         eigenvalues=eigenvalues,
     )
 
@@ -521,7 +451,7 @@ def sphere_height_case(a: float, subdivisions: int = 5) -> VerificationReport:
     notes = [
         "K = 1 - |a| from Hess(z) = -z g on the unit sphere; diameter pi is exact",
         f"icosphere with {mesh.n_vertices} vertices, cotangent weights",
-        f"graph diameter estimate {result.diameter_estimate:.6f}",
+        f"graph diameter estimate {graph_diameter(weighted):.6f}",
     ]
     return make_report(
         case_id=f"sphere-height-a={a:g}",

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import wittengap.cli as cli
 from wittengap.cli import RunConfig, config_from_sources, main, parse_config_file
 
 # reduced resolutions: fast and deterministic, deliberately below several
@@ -129,6 +130,28 @@ def test_ou_check_shift(capsys):
     obj = json.loads(out)
     assert obj["shift_defect"] <= 1e-7
     assert obj["shift_defect_rel"] <= obj["shift_defect"]
+
+
+@pytest.mark.parametrize("bc", ["both", "neumann", "dirichlet"])
+def test_ou_check_shift_solves_each_problem_once(capsys, monkeypatch, bc):
+    calls = {"neumann": 0, "dirichlet": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "neumann_lambda1", counted("neumann", cli.neumann_lambda1))
+    monkeypatch.setattr(cli, "dirichlet_lambda1", counted("dirichlet", cli.dirichlet_lambda1))
+    rc, out, _ = run_cli(
+        capsys, "ou", "--K", "1", "--d", "2", "--m", "100", "--bc", bc, "--check-shift"
+    )
+    assert rc == 0
+    assert calls == {"neumann": 1, "dirichlet": 1}
+    obj = json.loads(out)
+    assert {"lambda_neumann", "lambda_dirichlet", "shift_defect"} <= set(obj)
 
 
 def test_ou_verify_passes(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittengap.spectral import (
-    LanczosConvergenceError,
+    EigensolverConvergenceError,
     WeightedComplex,
     apply_weight,
     build_icosphere,
@@ -73,7 +73,7 @@ def test_circle_frozen_values():
     assert res.lambda1 == pytest.approx(CIRCLE_1000_LAMBDA1, abs=1e-9)
     assert abs(res.lambda1 - 1.0) <= 1e-4
     assert res.residual <= 1e-8
-    assert res.diameter_estimate == pytest.approx(CIRCLE_1000_DIAMETER, abs=1e-6)
+    assert graph_diameter(circle) == pytest.approx(CIRCLE_1000_DIAMETER, abs=1e-6)
     # rotational eigenspace: exactly two eigenvalues at the bottom level
     cluster = int(np.sum(res.eigenvalues <= 1.05 * res.lambda1))
     assert cluster == 2
@@ -91,11 +91,31 @@ def test_sphere_frozen_values():
 
 def test_sphere_mesh_convergence():
     # refinement drives lambda_1 toward the continuum value 2; on this
-    # mesh family the defect drops by more than the generic factor 4
+    # mesh family the defect drops by more than the generic factor 4,
+    # up to the certified resolution (subdivision 5)
     err3 = abs(lambda1_witten(build_icosphere(3)).lambda1 - 2.0)
     err4 = abs(lambda1_witten(build_icosphere(4)).lambda1 - 2.0)
+    err5 = abs(lambda1_witten(build_icosphere(5)).lambda1 - 2.0)
     assert err3 <= 1e-5
     assert err4 <= err3 / 4.0
+    assert err5 <= err4 / 4.0
+
+
+def test_certified_resolution_solve_is_bit_identical():
+    mesh = build_icosphere(5)
+    weighted = apply_weight(mesh, 0.5 * mesh.vertices[:, 2])
+    first = lambda1_witten(weighted)
+    second = lambda1_witten(weighted)
+    np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+    np.testing.assert_array_equal(first.eigenvector, second.eigenvector)
+
+
+def test_round_sphere_multiplicities_at_certified_resolution():
+    # continuum levels 2 (3-fold) and 6 (5-fold): the six returned values
+    # are three copies of each, none skipped for the level-12 cluster
+    res = lambda1_witten(build_icosphere(5))
+    np.testing.assert_allclose(res.eigenvalues[:3], 2.0, rtol=1e-6)
+    np.testing.assert_allclose(res.eigenvalues[3:], 6.0, rtol=1e-3)
 
 
 def test_weighted_circle_frozen_and_dense_oracle():
@@ -160,19 +180,26 @@ def test_weight_shift_invariance_property(a, c):
     assert abs(lam_a - lam_b) <= 1e-11 * max(1.0, abs(lam_a))
 
 
-def test_lanczos_path_matches_dense_path():
+@pytest.mark.parametrize("height", [0.0, 0.5])
+def test_sparse_path_matches_dense_generalized_eigh(height):
     mesh = build_icosphere(3)
-    dense = lambda1_witten(mesh)
-    lanczos = lambda1_witten(mesh, dense_cutoff=1)
-    assert lanczos.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
-    np.testing.assert_allclose(lanczos.eigenvalues[:4], dense.eigenvalues[:4], rtol=1e-7)
+    weighted = apply_weight(mesh, height * mesh.vertices[:, 2])
+    sparse_res = lambda1_witten(weighted)
+    S = stiffness_matrix(weighted).toarray()
+    M = np.diag(weighted.masses)
+    dense = scipy.linalg.eigh(S, M, eigvals_only=True, subset_by_index=(0, 6))
+    assert sparse_res.lambda1 == pytest.approx(dense[1], rel=1e-9)
+    # all six, so a copy of a repeated level lost by the Krylov solve shows
+    np.testing.assert_allclose(sparse_res.eigenvalues, dense[1:], rtol=1e-7)
 
 
-def test_lanczos_iteration_cap():
-    circle = build_weighted_circle(64)
-    with pytest.raises(LanczosConvergenceError) as excinfo:
-        lambda1_witten(circle, dense_cutoff=1, max_iter=2)
-    assert math.isfinite(excinfo.value.best_ritz)
+def test_eigensolver_restart_cap():
+    # shift-invert converges within one restart on small circles; the
+    # round sub-4 icosphere needs two
+    mesh = build_icosphere(4)
+    with pytest.raises(EigensolverConvergenceError):
+        lambda1_witten(mesh, max_iter=1)
+    assert lambda1_witten(mesh, max_iter=2).lambda1 == pytest.approx(2.0, abs=1e-4)
 
 
 def test_graph_diameter_path_and_plateau():
@@ -220,6 +247,16 @@ def test_complex_validation():
         )
     with pytest.raises(ValueError):
         build_weighted_circle(4)
+    # two vertices leave the sparse solver no room beside the kernel
+    edge = WeightedComplex(
+        vertices=np.array([[0.0, 0, 0], [1.0, 0, 0]]),
+        edges=np.array([[0, 1]], dtype=np.int64),
+        conductances=np.ones(1),
+        masses=np.ones(2),
+        phi=np.zeros(2),
+    )
+    with pytest.raises(ValueError):
+        lambda1_witten(edge)
     with pytest.raises(ValueError):
         build_weighted_circle(32, radius=0.0)
 
