@@ -10,13 +10,7 @@ import argparse
 import math
 
 from wittengap.spectral import build_icosphere, build_weighted_circle, lambda1_witten
-from wittengap.sturm import NEUMANN, OUProblem, discretize_ou, smallest_eigenvalues
-
-
-def raw_lambda1(K: float, d: float, m: int) -> float:
-    pencil = discretize_ou(OUProblem(K=K, d=d, m=m, bc=NEUMANN))
-    sol = smallest_eigenvalues(pencil, count=2, want_vectors=False)
-    return float(sol.eigenvalues[1])
+from wittengap.sturm import NEUMANN, raw_lambda1
 
 
 def main() -> int:
@@ -29,8 +23,8 @@ def main() -> int:
     prev = (None, None)
     m = 125
     for _ in range(args.levels):
-        e_flat = abs(raw_lambda1(0.0, 2.0, m) - math.pi**2 / 4.0)
-        e_cubic = abs(raw_lambda1(1.0, 2.0, m) - 3.0)
+        e_flat = abs(raw_lambda1(0.0, 2.0, m, NEUMANN) - math.pi**2 / 4.0)
+        e_cubic = abs(raw_lambda1(1.0, 2.0, m, NEUMANN) - 3.0)
         r_flat = f"{prev[0] / e_flat:6.2f}" if prev[0] else "     -"
         r_cubic = f"{prev[1] / e_cubic:6.2f}" if prev[1] else "     -"
         print(f"{m:>6d} {e_flat:12.3e} {r_flat} {e_cubic:12.3e} {r_cubic}")

@@ -35,8 +35,9 @@ from wittengap.bounds import (
 )
 from wittengap.report import SCHEMA_VERSION, VerificationReport, make_report
 from wittengap.shrinkers import (
-    ShootingConfig,
+    FundamentalArc,
     ShrinkerCurve,
+    assemble_rosette,
     circle_shrinker,
     curve_complex,
     eigen_identity_residual,
@@ -72,6 +73,7 @@ from wittengap.sturm import (
     dirichlet_lambda1,
     discretize_ou,
     neumann_lambda1,
+    raw_lambda1,
     smallest_eigenvalues,
     verify_comparison,
 )
@@ -82,10 +84,10 @@ __all__ = [
     "BoundInput",
     "EigenSolution",
     "EigensolverConvergenceError",
+    "FundamentalArc",
     "OptimalS",
     "OUProblem",
     "SCHEMA_VERSION",
-    "ShootingConfig",
     "ShrinkerBoundInput",
     "ShrinkerCurve",
     "SolitonDiameterBounds",
@@ -96,6 +98,7 @@ __all__ = [
     "WeightedComplex",
     "andrews_ni_bound",
     "apply_weight",
+    "assemble_rosette",
     "build_icosphere",
     "build_weighted_circle",
     "circle_shrinker",
@@ -116,6 +119,7 @@ __all__ = [
     "mean_curvature_identity_residual",
     "neumann_lambda1",
     "potential_phi",
+    "raw_lambda1",
     "shrinker_diameter_bound",
     "shrinker_diameter_bound_sup",
     "smallest_eigenvalues",

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
+# s-grid size of the shrinker diameter bound's maximization
+SHRINKER_SUP_GRID = 10**5
 
 
 @dataclass(frozen=True)
@@ -221,16 +223,16 @@ def shrinker_diameter_bound(inp: ShrinkerBoundInput) -> float:
     return math.pi / math.sqrt(1.5 * inp.lam + 0.5 * inp.K0)
 
 
-def shrinker_diameter_bound_sup(inp: ShrinkerBoundInput, grid_size: int = 10**5) -> float:
+def shrinker_diameter_bound_sup(inp: ShrinkerBoundInput) -> float:
     """Grid-search the s-family of shrinker diameter bounds.
 
     For s in (0, 1) the gap bound with K = lam - K0 under the ceiling
     lambda_1 <= 2 lam gives d >= 2 pi sqrt(s (1 - s) / (2 lam - s K)).
     The denominator equals lam (2 - s) + s K0 and is always positive.
-    Returns the largest bound over a uniform s-grid; the s = 1/2 member
-    recovers ``shrinker_diameter_bound``.
+    Returns the largest bound over a uniform ``SHRINKER_SUP_GRID``-point
+    s-grid; the s = 1/2 member recovers ``shrinker_diameter_bound``.
     """
     K = inp.lam - inp.K0
-    s = _interior_grid(grid_size)
+    s = _interior_grid(SHRINKER_SUP_GRID)
     values = 2.0 * math.pi * np.sqrt(s * (1.0 - s) / (2.0 * inp.lam - s * K))
     return float(values.max())

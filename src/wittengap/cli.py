@@ -42,6 +42,8 @@ from wittengap.bounds import (
 )
 from wittengap.report import SCHEMA_VERSION, VerificationReport, make_report
 from wittengap.shrinkers import (
+    ShrinkerCurve,
+    assemble_rosette,
     circle_shrinker,
     eigen_identity_residual,
     find_abresch_langer,
@@ -66,11 +68,9 @@ from wittengap.spectral import (
 from wittengap.sturm import (
     DIRICHLET,
     NEUMANN,
-    OUProblem,
     dirichlet_lambda1,
-    discretize_ou,
     neumann_lambda1,
-    smallest_eigenvalues,
+    raw_lambda1,
     verify_comparison,
 )
 
@@ -352,14 +352,6 @@ def case_soliton_constants(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def _raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
-    """First nonzero eigenvalue at a single resolution, no extrapolation."""
-    pencil = discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc))
-    count = 2 if bc == NEUMANN else 1
-    sol = smallest_eigenvalues(pencil, count=count, want_vectors=False)
-    return float(sol.eigenvalues[-1])
-
-
 def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
     """Comparison operator on the fixed (K, d) grid: flat-case exactness,
     second-order convergence, the Neumann-Dirichlet shift, and domination
@@ -373,7 +365,7 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
 
     ratios = []
     for K, d, bc in ((0.0, 2.0, NEUMANN), (1.0, 2.0, NEUMANN), (1.0, 2.0, DIRICHLET)):
-        lams = [_raw_lambda1(K, d, m, bc) for m in (250, 500, 1000)]
+        lams = [raw_lambda1(K, d, m, bc) for m in (250, 500, 1000)]
         ratios.append((lams[0] - lams[1]) / (lams[1] - lams[2]))
     ratio_min = min(ratios)
     ratio_max = max(ratios)
@@ -551,17 +543,12 @@ def case_circle_shrinker(cfg: RunConfig, lam: float = 1.0) -> VerificationReport
     )
 
 
-def case_rosette(
-    cfg: RunConfig,
-    lam: float = 1.0,
-    p: int = 2,
-    q: int = 3,
-    log: list | None = None,
-) -> VerificationReport:
-    """Closed rosette by shooting: closure, conserved quantity, curvature and
-    eigenfunction identities with a refinement trend, and the diameter bound."""
-    curve = find_abresch_langer(lam, p, q, n_points=cfg.rosette_points, log=log)
-    coarse = find_abresch_langer(lam, p, q, n_points=max(cfg.rosette_points // 4, 64))
+def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
+    """Rosette from ``find_abresch_langer``: closure, conserved quantity,
+    curvature and eigenfunction identities with a refinement trend against
+    a coarse curve assembled from the same arc, and the diameter bound."""
+    lam, p, q = curve.lam, curve.rotation_p, curve.petals_q
+    coarse = assemble_rosette(curve.arc, max(cfg.rosette_points // 4, 64))
     res_fine = eigen_identity_residual(curve)
     res_coarse = eigen_identity_residual(coarse)
     ratio = res_coarse / res_fine
@@ -650,7 +637,7 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
         *[sphere_height_case(a, cfg.sphere_subdivisions) for a in HEIGHT_COEFFICIENTS],
         case_weight_shift(cfg),
         case_circle_shrinker(cfg),
-        case_rosette(cfg),
+        case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
         case_gaussian(cfg),
     ]
     return sorted(reports, key=lambda r: r.case_id)
@@ -778,9 +765,9 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
     if args.al is not None:
         p, q = args.al
         log: list = []
-        rep = case_rosette(cfg, lam=args.lam, p=p, q=q, log=log)
+        curve = find_abresch_langer(args.lam, p, q, n_points=cfg.rosette_points, log=log)
+        rep = case_rosette(cfg, curve)
         if args.export:
-            curve = find_abresch_langer(args.lam, p, q, n_points=cfg.rosette_points)
             write_curve_csv(curve, args.export)
         if args.log:
             with open(args.log, "w") as fh:

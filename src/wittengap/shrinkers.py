@@ -13,9 +13,10 @@ position vector's normal part.
 Beyond the circle, the closed solutions are the classical rosette curves
 indexed by coprime (p, q) with 1/2 < p/q < sqrt(2)/2: the tangent winds
 p times while the curvature oscillates q times.  ``find_abresch_langer``
-constructs them by bisecting the initial radius of a fundamental arc
-until the arc meets its symmetry line orthogonally, then assembling 2q
-reflected copies.
+shoots once, by Brent's method (Brent, *Algorithms for Minimization
+without Derivatives*, 1973), for the initial radius of a fundamental arc
+that meets its symmetry line orthogonally; ``assemble_rosette`` then
+joins 2q reflected copies of that arc at any node count.
 
 Every closed curve carries the potential phi = lam |x|^2 / 2 - 1/2,
 which the drift Laplacian of the induced weighted ring complex maps to
@@ -42,13 +43,14 @@ from .spectral import WeightedComplex, apply_weight, witten_apply
 
 __all__ = [
     "ShrinkerCurve",
-    "ShootingConfig",
+    "FundamentalArc",
     "CurvatureDiameter",
     "SolitonPointCheck",
     "circle_shrinker",
     "integrate_shrinker",
     "first_integral",
     "find_abresch_langer",
+    "assemble_rosette",
     "potential_phi",
     "curve_complex",
     "mean_curvature_identity_residual",
@@ -62,6 +64,10 @@ __all__ = [
 
 FD_STEP = 1e-4
 MAX_STEPS = 20_000_000
+# starting bracket for the rosette's initial radius, in units of 1/sqrt(lam)
+R0_BRACKET = (0.5, 1.0)
+# largest closure residual an assembled rosette may have
+TOL_CLOSURE = 1e-8
 
 
 @dataclass
@@ -73,7 +79,8 @@ class ShrinkerCurve:
     that lands exactly on the stopping angle (its length in
     ``final_step``).  ``rotation_p``/``petals_q`` are (0, 0) for circles
     and the (p, q) indices for assembled rosettes, whose maximal joint
-    mismatch is recorded in ``closure_residual``.
+    mismatch is recorded in ``closure_residual`` and whose fundamental
+    arc is kept in ``arc``.
     """
 
     lam: float
@@ -87,6 +94,7 @@ class ShrinkerCurve:
     label: str = ""
     closure_residual: float = math.nan
     final_step: float | None = None
+    arc: FundamentalArc | None = None
 
     def __post_init__(self) -> None:
         n = self.points.shape[0]
@@ -128,20 +136,20 @@ class ShrinkerCurve:
 
 
 @dataclass(frozen=True)
-class ShootingConfig:
-    """Bracket and stopping control for the rosette shooting problem."""
+class FundamentalArc:
+    """Converged fundamental arc of the (p, q) rosette.
 
-    r_lo: float
-    r_hi: float
-    angle_target: float | None = None
-    tol_closure: float = 1e-8
-    max_bisections: int = 200
+    Starts at x = (r0, 0) with the tangent straight up and has arclength
+    ``length`` when its tangent has advanced by pi p / q;
+    ``radial_velocity`` is <x, T> there, zero for an exact rosette.
+    """
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r_lo < self.r_hi) or not math.isfinite(self.r_hi):
-            raise ValueError(f"need 0 < r_lo < r_hi, got ({self.r_lo!r}, {self.r_hi!r})")
-        if self.tol_closure <= 0.0 or self.max_bisections < 8:
-            raise ValueError("tol_closure must be positive, max_bisections >= 8")
+    lam: float
+    p: int
+    q: int
+    r0: float
+    length: float
+    radial_velocity: float
 
 
 @dataclass(frozen=True)
@@ -294,34 +302,32 @@ def first_integral(lam: float, points: np.ndarray, curvatures: np.ndarray) -> np
     return np.asarray(curvatures) * np.exp(-0.5 * lam * r2)
 
 
-def _closure_functional(lam: float, r0: float, psi: float, h: float) -> float:
-    """Radial velocity <x, T> where the tangent has advanced by psi.
+def _closure_functional(lam: float, r0: float, psi: float, h: float) -> tuple[float, float]:
+    """Radial velocity <x, T> and arclength where the tangent has advanced by psi.
 
-    Vanishes exactly when the arc meets the ray through its endpoint at
-    a right angle, which is the dihedral-symmetry closure condition.
+    The velocity vanishes exactly when the arc meets the ray through its
+    endpoint at a right angle, the dihedral-symmetry closure condition.
     """
-    xs1, xs2, ths, _ = _integrate(lam, r0, h, psi, None)
-    return xs1[-1] * math.cos(ths[-1]) + xs2[-1] * math.sin(ths[-1])
+    xs1, xs2, ths, final_step = _integrate(lam, r0, h, psi, None)
+    velocity = xs1[-1] * math.cos(ths[-1]) + xs2[-1] * math.sin(ths[-1])
+    return velocity, (len(xs1) - 2) * h + final_step
 
 
 def find_abresch_langer(
-    lam: float,
-    p: int,
-    q: int,
-    config: ShootingConfig | None = None,
-    n_points: int = 4096,
-    log: list | None = None,
+    lam: float, p: int, q: int, n_points: int = 4096, log: list | None = None
 ) -> ShrinkerCurve:
     """Closed rosette with rotation number p and q curvature oscillations.
 
-    Bisection on the initial radius r0 of the fundamental arc: the arc
-    runs from its minimum-radius point until the tangent has advanced by
-    pi p / q, and closure requires the radial velocity there to vanish.
-    The closed curve is 2q alternately reflected copies of the arc.  The
-    circle (r0 = 1/sqrt(lam)) is itself a root of the closure
-    functional, so the bracket's upper end is nudged off it when needed.
+    Brent's method (``scipy.optimize.brentq``) on the initial radius r0
+    of the fundamental arc: the arc runs from its minimum-radius point
+    until the tangent has advanced by pi p / q, and closure requires the
+    radial velocity there to vanish.  The circle (r0 = 1/sqrt(lam)) is
+    itself a root of the closure functional, so the bracket's upper end
+    is nudged off it when needed.  The curve is assembled by
+    ``assemble_rosette`` and keeps the arc in ``curve.arc``, so another
+    node count needs no second shooting.
 
-    ``log``, when given, collects one dict per bisection iterate.
+    ``log``, when given, collects one dict per Brent evaluation.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
@@ -333,23 +339,17 @@ def find_abresch_langer(
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam!r}")
     r_circle = 1.0 / math.sqrt(lam)
-    if config is None:
-        config = ShootingConfig(r_lo=0.5 * r_circle, r_hi=1.0 * r_circle)
     psi = math.pi * p / q
-    if config.angle_target is not None and not math.isclose(config.angle_target, psi):
-        raise ValueError(
-            f"config.angle_target = {config.angle_target!r} does not match pi p/q = {psi:g}"
-        )
 
-    lo, hi = config.r_lo, config.r_hi
+    lo, hi = R0_BRACKET[0] * r_circle, R0_BRACKET[1] * r_circle
     h_shoot = 1e-3 * lo
-    g_lo = _closure_functional(lam, lo, psi, h_shoot)
-    g_hi = _closure_functional(lam, hi, psi, h_shoot)
+    g_lo = _closure_functional(lam, lo, psi, h_shoot)[0]
+    g_hi = _closure_functional(lam, hi, psi, h_shoot)[0]
     # the circle is a degenerate root of the closure functional
     nudges = 0
     while abs(g_hi) < 1e-9 * r_circle and nudges < 8:
         hi -= 0.05 * (hi - lo)
-        g_hi = _closure_functional(lam, hi, psi, h_shoot)
+        g_hi = _closure_functional(lam, hi, psi, h_shoot)[0]
         nudges += 1
     # Near the circle the radial velocity at advance psi is positive for
     # every admissible p/q: the small-amplitude half-period advance is
@@ -362,48 +362,55 @@ def find_abresch_langer(
         if g_lo > 0.0:
             lo *= 0.6
             h_shoot = 1e-3 * lo
-            g_lo = _closure_functional(lam, lo, psi, h_shoot)
+            g_lo = _closure_functional(lam, lo, psi, h_shoot)[0]
         else:
             hi = r_circle - 0.3 * (r_circle - hi)
-            g_hi = _closure_functional(lam, hi, psi, h_shoot)
+            g_hi = _closure_functional(lam, hi, psi, h_shoot)[0]
         expansions += 1
     if g_lo * g_hi >= 0.0:
         raise ValueError(
             f"closure functional has the same sign at both bracket ends "
-            f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e}); widen (r_lo, r_hi)"
+            f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e})"
         )
-    r0, g0 = lo, g_lo
-    for iteration in range(config.max_bisections):
-        mid = 0.5 * (lo + hi)
-        g_mid = _closure_functional(lam, mid, psi, h_shoot)
-        if log is not None:
-            log.append({"iteration": iteration, "r0": mid, "closure_residual": g_mid})
-        if abs(g_mid) < abs(g0):
-            r0, g0 = mid, g_mid
-        if g_lo * g_mid <= 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-        if hi - lo < 1e-14 * r_circle or g_mid == 0.0:
-            break
 
-    # fine pass: fixed-step integration of the converged arc, subsampled
-    # to J + 1 uniformly spaced nodes
-    arc = _integrate(lam, r0, h_shoot, psi, None)
-    s_star = (len(arc[0]) - 2) * h_shoot + arc[3]
+    from scipy.optimize import brentq  # 16 MB and 0.3 s to import; only rosettes need it
+
+    # brentq evaluates both ends again, so the whole search shares h_shoot
+    log = [] if log is None else log
+    start = len(log)
+
+    def closure(r: float) -> float:
+        g = _closure_functional(lam, r, psi, h_shoot)[0]
+        log.append({"iteration": len(log) - start, "r0": r, "closure_residual": g})
+        return g
+
+    r0 = brentq(closure, lo, hi, xtol=1e-14 * r_circle)
+    radial_velocity, length = _closure_functional(lam, r0, psi, h_shoot)
+    return assemble_rosette(FundamentalArc(lam, p, q, r0, length, radial_velocity), n_points)
+
+
+def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
+    """Closed rosette of about ``n_points`` nodes from its fundamental arc.
+
+    The arc is integrated again at J = n_points / (2 q) uniform nodes and
+    the closed curve is 2q alternately reflected copies of it.  Raises
+    when the closure residual (worst joint gap, or the arc's end radial
+    velocity) exceeds ``TOL_CLOSURE``.
+    """
+    lam, r0, q = arc.lam, arc.r0, arc.q
+    psi = math.pi * arc.p / q
     J = max(int(round(n_points / (2 * q))), 16)
-    oversample = max(4, math.ceil((s_star / J) / (1e-3 * r0)))
-    h_fine = s_star / (J * oversample)
+    oversample = max(4, math.ceil((arc.length / J) / (1e-3 * r0)))
+    h_fine = arc.length / (J * oversample)
     xs1, xs2, ths, _ = _integrate(lam, r0, h_fine, None, J * oversample)
     X = np.column_stack([xs1, xs2])[::oversample]
     TH = np.asarray(ths)[::oversample]
     KK = _curvature_of(lam, xs1, xs2, ths)[::oversample]
 
     # copies alternate: rotation by 2 j psi of the arc, and of its
-    # reflection across the psi-line traversed backwards
-    refl = np.array(
-        [[math.cos(2 * psi), math.sin(2 * psi)], [math.sin(2 * psi), -math.cos(2 * psi)]]
-    )
+    # reflection across the psi-line (a flip of y, then rotation by
+    # 2 psi) traversed backwards
+    refl = _rot2(2.0 * psi) * [1.0, -1.0]
     X_r = X[::-1] @ refl.T
     TH_r = 2.0 * psi + math.pi - TH[::-1]
     KK_r = KK[::-1]
@@ -412,12 +419,7 @@ def find_abresch_langer(
     joint_gaps = []
     for j in range(q):
         rot_angle = 2.0 * j * psi
-        rot = np.array(
-            [
-                [math.cos(rot_angle), -math.sin(rot_angle)],
-                [math.sin(rot_angle), math.cos(rot_angle)],
-            ]
-        )
+        rot = _rot2(rot_angle)
         even, odd = X @ rot.T, X_r @ rot.T
         pts.append(even[:-1])
         pts.append(odd[:-1])
@@ -430,23 +432,23 @@ def find_abresch_langer(
     points = np.concatenate(pts)
     angles = np.concatenate(angs)
     curvatures = np.concatenate(curv)
-    closure = max(max(joint_gaps), abs(g0))
-    if closure > config.tol_closure:
+    closure = max(max(joint_gaps), abs(arc.radial_velocity))
+    if closure > TOL_CLOSURE:
         raise RuntimeError(
-            f"assembled closure residual {closure:.3e} exceeds tol_closure "
-            f"{config.tol_closure:.1e}"
+            f"assembled closure residual {closure:.3e} exceeds {TOL_CLOSURE:.1e}"
         )
     return ShrinkerCurve(
         lam=lam,
         points=points,
         angles=angles,
         curvatures=curvatures,
-        h=s_star / J,
+        h=arc.length / J,
         closed=True,
-        rotation_p=p,
+        rotation_p=arc.p,
         petals_q=q,
-        label=f"rosette-{p}-{q}-lam={lam:g}",
+        label=f"rosette-{arc.p}-{q}-lam={lam:g}",
         closure_residual=closure,
+        arc=arc,
     )
 
 

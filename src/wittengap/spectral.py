@@ -58,6 +58,8 @@ SHIFT = -1e-3
 # and icospheres up to subdivision 5, round and height-weighted, return
 # every copy.
 KRYLOV_DIM = 40
+# source vertices of the sampled graph diameter on complexes above 2000 vertices
+DIAMETER_SOURCES = 200
 
 
 class EigensolverConvergenceError(RuntimeError):
@@ -403,11 +405,11 @@ def lambda1_witten(
     )
 
 
-def graph_diameter(complex_: WeightedComplex, max_sources: int = 200) -> float:
+def graph_diameter(complex_: WeightedComplex) -> float:
     """Shortest-path diameter with ambient chord lengths as edge lengths.
 
     All-pairs for complexes up to 2000 vertices; beyond, the max runs
-    over ``max_sources`` farthest-point-sampled source vertices starting
+    over ``DIAMETER_SOURCES`` farthest-point-sampled source vertices starting
     from vertex 0, which is deterministic.
     """
     i, j = complex_.edges[:, 0], complex_.edges[:, 1]
@@ -422,7 +424,7 @@ def graph_diameter(complex_: WeightedComplex, max_sources: int = 200) -> float:
     best = 0.0
     dist_to_set = np.full(n, np.inf)
     source = 0
-    for _ in range(min(max_sources, n)):
+    for _ in range(min(DIAMETER_SOURCES, n)):
         dist = dijkstra(adj, directed=False, indices=source)
         best = max(best, float(dist.max()))
         dist_to_set = np.minimum(dist_to_set, dist)

@@ -41,6 +41,7 @@ __all__ = [
     "discretize_ou",
     "stiffness_apply",
     "smallest_eigenvalues",
+    "raw_lambda1",
     "neumann_lambda1",
     "dirichlet_lambda1",
     "verify_comparison",
@@ -305,19 +306,16 @@ def smallest_eigenvalues(
     )
 
 
-def _lambda1_at(K: float, d: float, m: int, bc: str) -> float:
-    problem = OUProblem(K=K, d=d, m=m, bc=bc)
-    pencil = discretize_ou(problem)
-    if bc == NEUMANN:
-        sol = smallest_eigenvalues(pencil, count=2, want_vectors=False)
-        lam0 = float(sol.eigenvalues[0])
-        if abs(lam0) > 1e-10:
-            raise RuntimeError(
-                f"Neumann zero mode not resolved: |lambda_0| = {abs(lam0):.3e}"
-            )
-        return float(sol.eigenvalues[1])
-    sol = smallest_eigenvalues(pencil, count=1, want_vectors=False)
-    return float(sol.eigenvalues[0])
+def raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
+    """First nonzero eigenvalue of L on m cells, without extrapolation.
+
+    For Neumann this is the eigenvalue after the zero mode, which the
+    flux transform deflates exactly; for Dirichlet it is the smallest.
+    """
+    pencil = discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc))
+    count = 2 if bc == NEUMANN else 1
+    sol = smallest_eigenvalues(pencil, count=count, want_vectors=False)
+    return float(sol.eigenvalues[-1])
 
 
 def neumann_lambda1(K: float, d: float, m: int = 2000) -> float:
@@ -325,17 +323,18 @@ def neumann_lambda1(K: float, d: float, m: int = 2000) -> float:
 
     Solves at m and 2m cells and returns (4 lam_{2m} - lam_m) / 3, which
     cancels the leading h^2 error of the finite-volume scheme.  The zero
-    mode is required to be below 1e-10 in magnitude on both grids.
+    mode is deflated exactly (see ``smallest_eigenvalues``), so it is not
+    part of either solve.
     """
-    coarse = _lambda1_at(K, d, m, NEUMANN)
-    fine = _lambda1_at(K, d, 2 * m, NEUMANN)
+    coarse = raw_lambda1(K, d, m, NEUMANN)
+    fine = raw_lambda1(K, d, 2 * m, NEUMANN)
     return (4.0 * fine - coarse) / 3.0
 
 
 def dirichlet_lambda1(K: float, d: float, m: int = 2000) -> float:
     """Smallest Dirichlet eigenvalue of L, Richardson-extrapolated."""
-    coarse = _lambda1_at(K, d, m, DIRICHLET)
-    fine = _lambda1_at(K, d, 2 * m, DIRICHLET)
+    coarse = raw_lambda1(K, d, m, DIRICHLET)
+    fine = raw_lambda1(K, d, 2 * m, DIRICHLET)
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -23,6 +23,7 @@ from wittengap.cli import (
     case_sphere_round,
     case_weight_shift,
 )
+from wittengap.shrinkers import find_abresch_langer
 from wittengap.spectral import sphere_height_case
 
 
@@ -79,7 +80,7 @@ def rep_circle_shrinker(cfg):
 
 @pytest.fixture(scope="module")
 def rep_rosette(cfg):
-    return case_rosette(cfg)
+    return case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points))
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import math
 import pytest
 
 import wittengap.cli as cli
+import wittengap.shrinkers as shrinkers
 from wittengap.cli import RunConfig, config_from_sources, main, parse_config_file
 
 # reduced resolutions: fast and deterministic, deliberately below several
@@ -230,6 +231,43 @@ def test_shrinker_rosette_exports(capsys, tmp_path):
     entries = [json.loads(line) for line in log_jsonl.read_text().splitlines()]
     assert len(entries) >= 8
     assert all({"iteration", "r0", "closure_residual"} <= set(e) for e in entries)
+
+
+@pytest.fixture()
+def closure_shots(monkeypatch):
+    """Counts rosette shots (closure-functional calls).
+
+    Returns the live counter, reset to zero, and the shots that one
+    find_abresch_langer(1.0, 2, 3) takes.
+    """
+    shots = [0]
+    shoot = shrinkers._closure_functional
+
+    def counted(*args):
+        shots[0] += 1
+        return shoot(*args)
+
+    monkeypatch.setattr(shrinkers, "_closure_functional", counted)
+    shrinkers.find_abresch_langer(1.0, 2, 3)
+    one_shooting = shots[0]
+    shots[0] = 0
+    return shots, one_shooting
+
+
+def test_rosette_case_shoots_once(closure_shots):
+    shots, one_shooting = closure_shots
+    cfg = RunConfig(rosette_points=256)
+    rep = cli.case_rosette(cfg, cli.find_abresch_langer(1.0, 2, 3, n_points=256))
+    assert rep.case_id == "shrinker-rosette-2-3"
+    assert shots[0] == one_shooting
+
+
+def test_shrinker_rosette_export_reuses_the_shooting(capsys, tmp_path, closure_shots):
+    shots, one_shooting = closure_shots
+    curve_csv = tmp_path / "curve.csv"
+    run_cli(capsys, "shrinker", "--al", "2", "3", "--points", "256", "--export", str(curve_csv))
+    assert curve_csv.exists()
+    assert shots[0] == one_shooting
 
 
 def test_shrinker_needs_a_mode(capsys):

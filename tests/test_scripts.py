@@ -1,0 +1,47 @@
+"""Smoke tests for the study scripts: each runs to completion on a small input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_convergence_study_tables():
+    lines = run_script("convergence_study.py", "--levels", "2")
+    interval = lines.index("interval operator, raw eigenvalues")
+    meshes = lines.index("circle (target 1) and icosphere (target 2)")
+    assert lines[interval + 1].split() == ["m", "err", "K=0,d=2", "ratio", "err", "K=1,d=2", "ratio"]
+    assert [row.split()[0] for row in lines[interval + 2 : meshes] if row] == ["125", "250"]
+    assert lines[meshes + 1].split() == ["n", "circle", "err", "sub", "sphere", "err"]
+    assert len(lines[meshes + 2 :]) == 2
+
+
+def test_rosette_study_csv(tmp_path):
+    csv = tmp_path / "rosettes.csv"
+    lines = run_script("rosette_study.py", "--max-q", "4", "--points", "512", "--csv", str(csv))
+    assert lines[0].split()[:2] == ["p/q", "r0"]
+    # (2, 3) is the only admissible pair with q <= 4
+    assert len(lines) == 3
+    assert lines[1].startswith("2/  3")
+    assert lines[2] == f"wrote 1 rows to {csv}"
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "p,q,r0,k_max,length,diameter_margin,mc_residual,eigen_residual"
+    assert len(rows) == 2
+    assert rows[1].startswith("2,3,0.3131804")

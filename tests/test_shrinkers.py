@@ -1,6 +1,10 @@
 """Closed shrinker curves: shooting, conserved quantities, identity checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittengap.shrinkers import (
-    ShootingConfig,
+    assemble_rosette,
     circle_shrinker,
     curve_complex,
     eigen_identity_residual,
@@ -130,11 +134,35 @@ def test_default_bracket_is_repaired_automatically():
     # the (2, 3) root sits below half the circle radius, outside the
     # default starting bracket; the search must widen it rather than fail
     log = []
-    curve = find_abresch_langer(1.0, 2, 3, config=None, n_points=512, log=log)
+    curve = find_abresch_langer(1.0, 2, 3, n_points=512, log=log)
     assert curve.closure_residual <= 1e-8
     iterations = [entry["iteration"] for entry in log]
     assert iterations == sorted(iterations)
     assert all(0.0 < entry["r0"] < 1.0 for entry in log)
+    # one Brent run, not a 46-step bisection
+    assert len(log) <= 16
+
+
+def test_coarse_rosette_from_shared_arc_is_bit_identical(rosette23):
+    # reassembling the converged arc gives exactly the curve a second
+    # shooting would
+    shared = assemble_rosette(rosette23.arc, 1024)
+    fresh = find_abresch_langer(1.0, 2, 3, n_points=1024)
+    assert shared.arc == fresh.arc
+    for name in ("points", "angles", "curvatures"):
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+    assert shared.h == fresh.h
+    assert shared.closure_residual == fresh.closure_residual
+
+
+def test_package_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about 16 MB and 0.3 s to import; only the
+    # rosette shooting needs it, so it is imported there
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, wittengap; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.strip() == "False", out.stderr
 
 
 def test_mean_curvature_identity(rosette23):
@@ -154,7 +182,7 @@ def test_eigen_identity_circle():
 def test_eigen_identity_rosette_refines_at_second_order(rosette23):
     fine = eigen_identity_residual(rosette23)
     assert fine <= 5e-3
-    coarse = eigen_identity_residual(find_abresch_langer(1.0, 2, 3, n_points=1024))
+    coarse = eigen_identity_residual(assemble_rosette(rosette23.arc, 1024))
     ratio = coarse / fine
     # node count quadruples, so a second-order defect drops 16-fold
     assert 8.0 <= ratio <= 32.0
@@ -248,10 +276,6 @@ def test_rosette_index_validation():
         find_abresch_langer(1.0, 3, 4)  # ratio above sqrt(2)/2
     with pytest.raises(ValueError):
         find_abresch_langer(0.0, 2, 3)
-    with pytest.raises(ValueError):
-        ShootingConfig(r_lo=1.0, r_hi=0.5)
-    with pytest.raises(ValueError):
-        find_abresch_langer(1.0, 2, 3, config=ShootingConfig(0.2, 0.9, angle_target=1.0))
 
 
 def test_open_arcs_reject_closed_only_operations():
