@@ -9,7 +9,7 @@ import argparse
 import os
 import time
 
-from wittengap.cli import RunConfig, config_from_sources, run_suite
+from wittengap.cli import config_from_sources, run_suite
 
 
 def main() -> int:

@@ -61,7 +61,6 @@ from wittengap.spectral import (
     build_weighted_circle,
     graph_diameter,
     lambda1_witten,
-    sphere_height_case,
     witten_apply,
     write_eigenvector_csv,
     write_off,
@@ -125,7 +124,6 @@ __all__ = [
     "smallest_eigenvalues",
     "soliton_diameter_bounds",
     "soliton_optimal_s",
-    "sphere_height_case",
     "sup_bound_branch",
     "sup_bound_closed",
     "sup_bound_grid",

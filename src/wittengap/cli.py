@@ -11,15 +11,16 @@ Subcommands
 Reports carry ``schema: 1`` and serialize with sorted keys and no
 timestamps, so identical configurations produce byte-identical output.
 Exit codes: 0 when every margin passes, 1 for a failed case or internal
-error, 2 for invalid flags.  A flat ``key = value`` config file supplies
-defaults that explicit flags override; the WITTEN_GAP_OUT environment
-variable names the default output directory.
+error, 2 for invalid flags.  A flat ``key = value`` config file sets
+resolutions that explicit flags override (tolerances are constants); the
+WITTEN_GAP_OUT environment variable names the default output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -56,18 +57,20 @@ from wittengap.shrinkers import (
     write_curve_csv,
 )
 from wittengap.spectral import (
+    SpectralResult,
+    WeightedComplex,
     apply_weight,
     build_icosphere,
     build_weighted_circle,
     graph_diameter,
     lambda1_witten,
-    sphere_height_case,
     write_eigenvector_csv,
     write_off,
 )
 from wittengap.sturm import (
     DIRICHLET,
     NEUMANN,
+    TOL_COMPARE_REL,
     dirichlet_lambda1,
     neumann_lambda1,
     raw_lambda1,
@@ -84,6 +87,7 @@ __all__ = [
     "case_comparison_grid",
     "case_circle_spectrum",
     "case_sphere_round",
+    "case_sphere_height",
     "case_weight_shift",
     "case_circle_shrinker",
     "case_rosette",
@@ -99,24 +103,38 @@ D_GRID = (0.5, 1.0, 2.0, math.pi, 5.0)
 EXACTNESS_DS = (1.0, 2.0, math.pi, 5.0)
 BRANCH_DS = (0.5, 1.0, 2.0, math.pi, 5.0, 10.0, 20.0)
 HEIGHT_COEFFICIENTS = (0.0, 0.3, 0.5, 0.9)
+# (K, d) box of the closed-form vs grid sweep
+K_RANGE = (-10.0, 10.0)
+D_RANGE = (0.1, 20.0)
+# the flat-space model soliton: dimension, constant, sample seed
+GAUSSIAN_DIM = 3
+GAUSSIAN_LAM = 0.7
 GAUSSIAN_SEED = 20260816
+
+# certified tolerances, pinned independently by the acceptance tests;
+# TOL_COMPARE_REL is imported from sturm, whose verify_comparison shares it
+TOL_GRID_REL = 1e-6
+TOL_BRANCH = 1e-12
+TOL_OU_EXACT_REL = 1e-6
+TOL_SHIFT_REL = 1e-4
+TOL_CIRCLE_REL = 1e-4
+TOL_SPHERE = 1e-2
+TOL_WEIGHT_SHIFT_REL = 1e-12
+TOL_ROSETTE_CLOSURE = 1e-6
+TOL_FIRST_INTEGRAL = 1e-6
+TOL_MC_IDENTITY = 1e-4
+TOL_EIGEN_IDENTITY = 5e-3
+TOL_CONSTANTS = 1e-12
+TOL_FD_RESIDUAL = 1e-6
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Deterministic run parameters: grids, resolutions, tolerances, output.
+    """Deterministic run parameters: the certified resolutions as defaults,
+    and ``out_dir``.  Lower resolutions turn cases red; tolerances, the
+    (K, d) box and the Gaussian model are module constants."""
 
-    Tolerance defaults are the certified values; the acceptance tests pin
-    the same numbers independently, so loosening a field here changes
-    ad-hoc runs only.  All fields are plain numbers or strings so a flat
-    config file can override any of them.
-    """
-
-    # (K, d) ranges and counts for the closed-form vs grid sweep
-    k_min: float = -10.0
-    k_max: float = 10.0
-    d_min: float = 0.1
-    d_max: float = 20.0
+    # counts of the closed-form vs grid sweep
     n_k: int = 50
     n_d: int = 50
     sup_grid_size: int = 1_000_000
@@ -127,29 +145,10 @@ class RunConfig:
     sphere_subdivisions: int = 5
     shift_subdivisions: int = 3
     rosette_points: int = 4096
-    gaussian_dim: int = 3
-    gaussian_lam: float = 0.7
     gaussian_samples: int = 64
-    # tolerances
-    tol_grid_rel: float = 1e-6
-    tol_branch: float = 1e-12
-    tol_ou_exact_rel: float = 1e-6
-    tol_shift_rel: float = 1e-4
-    tol_compare_rel: float = 1e-5
-    tol_circle_rel: float = 1e-4
-    tol_sphere: float = 1e-2
-    tol_weight_shift_rel: float = 1e-12
-    tol_closure: float = 1e-6
-    tol_first_integral: float = 1e-6
-    tol_mc_identity: float = 1e-4
-    tol_eigen_identity: float = 5e-3
-    tol_constants: float = 1e-12
-    tol_fd_residual: float = 1e-6
     out_dir: str = ""
 
     def __post_init__(self) -> None:
-        if not (self.k_min <= self.k_max) or not (0.0 < self.d_min <= self.d_max):
-            raise ValueError("need k_min <= k_max and 0 < d_min <= d_max")
         if min(self.n_k, self.n_d) < 1:
             raise ValueError("grid counts must be >= 1")
         if min(self.sup_grid_size, self.constant_grid_size) < 100:
@@ -162,8 +161,8 @@ class RunConfig:
             raise ValueError("subdivision counts must be in [0, 7]")
         if self.rosette_points < 64:
             raise ValueError("rosette_points must be >= 64")
-        if self.gaussian_dim < 1 or self.gaussian_samples < 1:
-            raise ValueError("gaussian_dim and gaussian_samples must be >= 1")
+        if self.gaussian_samples < 1:
+            raise ValueError("gaussian_samples must be >= 1")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -191,13 +190,7 @@ def config_from_sources(
         for key, raw in parse_config_file(config_path).items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
-            default = fields[key]
-            if isinstance(default, int):
-                kwargs[key] = int(raw)
-            elif isinstance(default, float):
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = raw
+            kwargs[key] = int(raw) if isinstance(fields[key], int) else raw
     for key, value in (overrides or {}).items():
         if value is not None:
             if key not in fields:
@@ -225,8 +218,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def sweep_closed_vs_grid(cfg: RunConfig) -> list[tuple[float, float, float, float, float]]:
     """Rows (K, d, sup_closed, sup_grid, abs_diff) over the configured sweep."""
-    Ks = np.linspace(cfg.k_min, cfg.k_max, cfg.n_k)
-    ds = np.linspace(cfg.d_min, cfg.d_max, cfg.n_d)
+    Ks = np.linspace(*K_RANGE, cfg.n_k)
+    ds = np.linspace(*D_RANGE, cfg.n_d)
     rows = []
     for K in Ks:
         for d in ds:
@@ -272,10 +265,10 @@ def case_closed_vs_grid(cfg: RunConfig) -> VerificationReport:
     return make_report(
         case_id="bounds-closed-vs-grid",
         inputs={
-            "k_min": cfg.k_min,
-            "k_max": cfg.k_max,
-            "d_min": cfg.d_min,
-            "d_max": cfg.d_max,
+            "k_min": K_RANGE[0],
+            "k_max": K_RANGE[1],
+            "d_min": D_RANGE[0],
+            "d_max": D_RANGE[1],
             "n_k": float(cfg.n_k),
             "n_d": float(cfg.n_d),
             "sup_grid_size": float(cfg.sup_grid_size),
@@ -294,9 +287,9 @@ def case_closed_vs_grid(cfg: RunConfig) -> VerificationReport:
             "branch_mid_high": -worst_mid_high,
         },
         tolerances={
-            "closed_vs_grid": cfg.tol_grid_rel,
-            "branch_low_mid": cfg.tol_branch,
-            "branch_mid_high": cfg.tol_branch,
+            "closed_vs_grid": TOL_GRID_REL,
+            "branch_low_mid": TOL_BRANCH,
+            "branch_mid_high": TOL_BRANCH,
         },
         notes=[
             "grid supremum over the interior s-grid never exceeds the closed form",
@@ -342,7 +335,7 @@ def case_soliton_constants(cfg: RunConfig) -> VerificationReport:
         tolerances={
             "ordering_sup_vs_half": 0.0,
             "ordering_half_vs_fixed": 0.0,
-            "g_max_grid_defect": cfg.tol_constants,
+            "g_max_grid_defect": TOL_CONSTANTS,
             "s_star_grid_defect": 1e-5,
         },
         notes=[
@@ -409,12 +402,12 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
             "equality_at_flat": -eq_worst,
         },
         tolerances={
-            "exactness_flat": cfg.tol_ou_exact_rel,
+            "exactness_flat": TOL_OU_EXACT_REL,
             "convergence_ratio_low": 0.0,
             "convergence_ratio_high": 0.0,
-            "neumann_dirichlet_shift": cfg.tol_shift_rel,
-            "comparison_inequality": cfg.tol_compare_rel,
-            "equality_at_flat": cfg.tol_compare_rel,
+            "neumann_dirichlet_shift": TOL_SHIFT_REL,
+            "comparison_inequality": TOL_COMPARE_REL,
+            "equality_at_flat": TOL_COMPARE_REL,
         },
         notes=[
             "convergence ratios from raw eigenvalues at m = 250, 500, 1000",
@@ -423,11 +416,11 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def case_circle_spectrum(cfg: RunConfig, radius: float) -> VerificationReport:
-    """Unweighted circle: lambda_1 must match 1/r^2, equivalently pi^2/d^2
-    with d = pi r half the circumference."""
-    comp = build_weighted_circle(cfg.circle_n, radius=radius)
-    res = lambda1_witten(comp)
+def case_circle_spectrum(
+    radius: float, circle: WeightedComplex, res: SpectralResult
+) -> VerificationReport:
+    """Unweighted circle, solved by the caller into ``res``: lambda_1 must
+    match 1/r^2, equivalently pi^2/d^2 with d = pi r half the circumference."""
     target = 1.0 / radius**2
     rel_curv = abs(res.lambda1 - target) / target
     d_exact = math.pi * radius
@@ -435,28 +428,29 @@ def case_circle_spectrum(cfg: RunConfig, radius: float) -> VerificationReport:
     cluster_size = int(np.sum(res.eigenvalues <= 1.05 * res.lambda1))
     return make_report(
         case_id=f"circle-spectrum-r={radius:g}",
-        inputs={"n": float(cfg.circle_n), "radius": radius, "K": 0.0, "d": d_exact},
+        inputs={"n": float(circle.n_vertices), "radius": radius, "K": 0.0, "d": d_exact},
         computed={
             "lambda1": res.lambda1,
             "residual": res.residual,
             "cluster_size": float(cluster_size),
             "multiplicity_gap": float(res.multiplicity_gap),
-            "diameter_estimate": graph_diameter(comp),
+            "diameter_estimate": graph_diameter(circle),
         },
         bounds={"inverse_r2": target, "pi2_over_d2": math.pi**2 / d_exact**2},
         margins={"lambda1_vs_curvature": -rel_curv, "flat_interval_equality": -rel_flat},
         tolerances={
-            "lambda1_vs_curvature": cfg.tol_circle_rel,
-            "flat_interval_equality": cfg.tol_circle_rel,
+            "lambda1_vs_curvature": TOL_CIRCLE_REL,
+            "flat_interval_equality": TOL_CIRCLE_REL,
         },
         notes=["flat-interval target pi^2/d^2 with d = pi r equals 1/r^2 exactly"],
     )
 
 
-def case_sphere_round(cfg: RunConfig) -> VerificationReport:
-    """Unweighted icosphere: lambda_1 near 2 with a three-fold cluster."""
-    mesh = build_icosphere(cfg.sphere_subdivisions)
-    res = lambda1_witten(mesh)
+def case_sphere_round(
+    cfg: RunConfig, mesh: WeightedComplex, res: SpectralResult
+) -> VerificationReport:
+    """Unweighted icosphere at ``cfg.sphere_subdivisions``, solved by the
+    caller into ``res``: lambda_1 near 2 with a three-fold cluster."""
     rel = abs(res.lambda1 - 2.0) / 2.0
     cluster_size = int(np.sum(res.eigenvalues <= 1.05 * res.lambda1))
     return make_report(
@@ -474,8 +468,47 @@ def case_sphere_round(cfg: RunConfig) -> VerificationReport:
             "lambda1_vs_two": -rel,
             "cluster_multiplicity": -abs(cluster_size - 3.0),
         },
-        tolerances={"lambda1_vs_two": cfg.tol_sphere, "cluster_multiplicity": 0.0},
+        tolerances={"lambda1_vs_two": TOL_SPHERE, "cluster_multiplicity": 0.0},
         notes=["first sphere eigenvalue is 2 with the three coordinate eigenfunctions"],
+    )
+
+
+def case_sphere_height(
+    cfg: RunConfig, a: float, weighted: WeightedComplex, res: SpectralResult
+) -> VerificationReport:
+    """Certify the gap bound for the unit icosphere ``weighted`` by phi = a z,
+    solved by the caller into ``res``.
+
+    The Hessian of the height function z on the unit sphere is -z g, so
+    Ric + Hess(a z) = (1 - a z) g >= (1 - |a|) g: curvature constant
+    K = 1 - |a| with diameter pi.  The discrete lambda_1 must dominate the
+    closed-form bound at that (K, pi), up to the mesh tolerance.
+    """
+    if not (math.isfinite(a) and abs(a) < 1.0):
+        raise ValueError(f"height coefficient a must satisfy |a| < 1, got {a!r}")
+    K = 1.0 - abs(a)
+    inp = BoundInput(K=K, d=math.pi)
+    bound = sup_bound_closed(inp)
+    return make_report(
+        case_id=f"sphere-height-a={a:g}",
+        inputs={"a": a, "K": K, "d": math.pi, "subdivisions": float(cfg.sphere_subdivisions)},
+        computed={
+            "lambda1": res.lambda1,
+            "residual": res.residual,
+            "multiplicity_gap": res.multiplicity_gap,
+        },
+        bounds={
+            "sup_closed": bound,
+            "futaki_sano": futaki_sano_bound(inp),
+            "andrews_ni": andrews_ni_bound(inp),
+        },
+        margins={"gap_vs_sup_closed": res.lambda1 - bound},
+        tolerances={"gap_vs_sup_closed": TOL_SPHERE * max(1.0, res.lambda1)},
+        notes=[
+            "K = 1 - |a| from Hess(z) = -z g on the unit sphere; diameter pi is exact",
+            f"icosphere with {weighted.n_vertices} vertices, cotangent weights",
+            f"graph diameter estimate {graph_diameter(weighted):.6f}",
+        ],
     )
 
 
@@ -507,7 +540,7 @@ def case_weight_shift(cfg: RunConfig) -> VerificationReport:
         computed={"lambda1": lam_base},
         bounds={},
         margins={k: -v for k, v in rels.items()},
-        tolerances={k: cfg.tol_weight_shift_rel for k in rels},
+        tolerances={k: TOL_WEIGHT_SHIFT_REL for k in rels},
         notes=["all three runs share the same deterministic shift-invert solver"],
     )
 
@@ -586,10 +619,10 @@ def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
             "d_vs_bound_sup": diam.margins["d_vs_bound_sup"],
         },
         tolerances={
-            "closure": cfg.tol_closure,
-            "first_integral": cfg.tol_first_integral,
-            "mean_curvature_identity": cfg.tol_mc_identity,
-            "eigen_identity": cfg.tol_eigen_identity,
+            "closure": TOL_ROSETTE_CLOSURE,
+            "first_integral": TOL_FIRST_INTEGRAL,
+            "mean_curvature_identity": TOL_MC_IDENTITY,
+            "eigen_identity": TOL_EIGEN_IDENTITY,
             "refinement_ratio_low": 0.0,
             "refinement_ratio_high": 0.0,
             "d_vs_bound_half": diam.tolerances["d_vs_bound_half"],
@@ -606,35 +639,38 @@ def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
 def case_gaussian(cfg: RunConfig) -> VerificationReport:
     """Flat-space model soliton: the shifted potential is an exact eigenfunction."""
     rng = np.random.default_rng(GAUSSIAN_SEED)
-    pts = 1.5 * rng.standard_normal((cfg.gaussian_samples, cfg.gaussian_dim))
-    chk = gaussian_soliton_check(cfg.gaussian_dim, cfg.gaussian_lam, pts)
+    pts = 1.5 * rng.standard_normal((cfg.gaussian_samples, GAUSSIAN_DIM))
+    chk = gaussian_soliton_check(GAUSSIAN_DIM, GAUSSIAN_LAM, pts)
     worst_analytic = float(np.abs(chk.residuals_analytic).max())
     worst_fd = float(np.abs(chk.residuals_fd).max())
     return make_report(
         case_id="gaussian-soliton",
         inputs={
-            "n": float(cfg.gaussian_dim),
-            "lam": cfg.gaussian_lam,
+            "n": float(GAUSSIAN_DIM),
+            "lam": GAUSSIAN_LAM,
             "n_samples": float(cfg.gaussian_samples),
         },
         computed={"analytic_worst": worst_analytic, "fd_worst": worst_fd},
         bounds={},
         margins={"analytic_identity": -worst_analytic, "fd_identity": -worst_fd},
-        tolerances={"analytic_identity": 0.0, "fd_identity": cfg.tol_fd_residual},
+        tolerances={"analytic_identity": 0.0, "fd_identity": TOL_FD_RESIDUAL},
         notes=["analytic residual shares float intermediates, so it cancels exactly"],
     )
 
 
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
-    """All certification cases, sorted by case id."""
-    reports = [
-        case_closed_vs_grid(cfg),
-        case_soliton_constants(cfg),
-        case_comparison_grid(cfg),
-        case_circle_spectrum(cfg, 1.0),
-        case_circle_spectrum(cfg, 2.0),
-        case_sphere_round(cfg),
-        *[sphere_height_case(a, cfg.sphere_subdivisions) for a in HEIGHT_COEFFICIENTS],
+    """All certification cases, sorted by case id.  Each complex is built
+    and solved once; the round icosphere also carries the height weights."""
+    reports = [case_closed_vs_grid(cfg), case_soliton_constants(cfg), case_comparison_grid(cfg)]
+    # built after the s-grid cases: the icosphere build leaves heap behind
+    # that raised the suite's peak RSS by 9 MB when it came first
+    circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
+    sphere = build_icosphere(cfg.sphere_subdivisions)
+    heights = {a: apply_weight(sphere, a * sphere.vertices[:, 2]) for a in HEIGHT_COEFFICIENTS}
+    reports += [
+        *[case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()],
+        case_sphere_round(cfg, sphere, lambda1_witten(sphere)),
+        *[case_sphere_height(cfg, a, w, lambda1_witten(w)) for a, w in heights.items()],
         case_weight_shift(cfg),
         case_circle_shrinker(cfg),
         case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
@@ -733,22 +769,23 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         _overrides(args, {"n": "circle_n", "subdivisions": "sphere_subdivisions"}),
     )
     if args.case == "circle":
-        rep = case_circle_spectrum(cfg, args.radius)
         comp = build_weighted_circle(cfg.circle_n, radius=args.radius)
+        case = functools.partial(case_circle_spectrum, args.radius)
     elif args.case == "sphere":
-        rep = case_sphere_round(cfg)
         comp = build_icosphere(cfg.sphere_subdivisions)
+        case = functools.partial(case_sphere_round, cfg)
     else:
         if args.a is None:
             print("error: --case sphere-height requires --a", file=sys.stderr)
             return 2
-        rep = sphere_height_case(args.a, cfg.sphere_subdivisions)
         mesh = build_icosphere(cfg.sphere_subdivisions)
         comp = apply_weight(mesh, args.a * mesh.vertices[:, 2])
+        case = functools.partial(case_sphere_height, cfg, args.a)
+    res = lambda1_witten(comp)
+    rep = case(comp, res)
     if args.export_off:
         write_off(comp, args.export_off)
     if args.export_eigenvector:
-        res = lambda1_witten(comp)
         write_eigenvector_csv(comp, res.eigenvector, args.export_eigenvector)
     _emit(rep.to_json(), args.out)
     return 0 if rep.passed else 1

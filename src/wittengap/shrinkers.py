@@ -28,6 +28,7 @@ curvature.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -341,15 +342,19 @@ def find_abresch_langer(
     r_circle = 1.0 / math.sqrt(lam)
     psi = math.pi * p / q
 
+    # shots are cached by (r0, step): brentq evaluates the repaired bracket
+    # ends again, and its root is one of its own evaluations
+    shoot = functools.cache(lambda r, h: _closure_functional(lam, r, psi, h))
+
     lo, hi = R0_BRACKET[0] * r_circle, R0_BRACKET[1] * r_circle
     h_shoot = 1e-3 * lo
-    g_lo = _closure_functional(lam, lo, psi, h_shoot)[0]
-    g_hi = _closure_functional(lam, hi, psi, h_shoot)[0]
+    g_lo = shoot(lo, h_shoot)[0]
+    g_hi = shoot(hi, h_shoot)[0]
     # the circle is a degenerate root of the closure functional
     nudges = 0
     while abs(g_hi) < 1e-9 * r_circle and nudges < 8:
         hi -= 0.05 * (hi - lo)
-        g_hi = _closure_functional(lam, hi, psi, h_shoot)[0]
+        g_hi = shoot(hi, h_shoot)[0]
         nudges += 1
     # Near the circle the radial velocity at advance psi is positive for
     # every admissible p/q: the small-amplitude half-period advance is
@@ -362,10 +367,10 @@ def find_abresch_langer(
         if g_lo > 0.0:
             lo *= 0.6
             h_shoot = 1e-3 * lo
-            g_lo = _closure_functional(lam, lo, psi, h_shoot)[0]
+            g_lo = shoot(lo, h_shoot)[0]
         else:
             hi = r_circle - 0.3 * (r_circle - hi)
-            g_hi = _closure_functional(lam, hi, psi, h_shoot)[0]
+            g_hi = shoot(hi, h_shoot)[0]
         expansions += 1
     if g_lo * g_hi >= 0.0:
         raise ValueError(
@@ -380,12 +385,12 @@ def find_abresch_langer(
     start = len(log)
 
     def closure(r: float) -> float:
-        g = _closure_functional(lam, r, psi, h_shoot)[0]
+        g = shoot(r, h_shoot)[0]
         log.append({"iteration": len(log) - start, "r0": r, "closure_residual": g})
         return g
 
     r0 = brentq(closure, lo, hi, xtol=1e-14 * r_circle)
-    radial_velocity, length = _closure_functional(lam, r0, psi, h_shoot)
+    radial_velocity, length = shoot(r0, h_shoot)
     return assemble_rosette(FundamentalArc(lam, p, q, r0, length, radial_velocity), n_points)
 
 

@@ -15,7 +15,9 @@ icospheres (cotangent edge weights with barycentric lumped mass).
 sparse shift-invert Lanczos solve (ARPACK) of the generalized pencil,
 whatever the size of the complex.
 ``graph_diameter`` estimates the intrinsic diameter from shortest paths
-with chord-length edges.
+with chord-length edges.  The module builds no reports: the certification
+cases that compare these values with the gap bound live in
+``wittengap.cli``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .bounds import BoundInput, andrews_ni_bound, futaki_sano_bound, sup_bound_closed
-from .report import VerificationReport, make_report
 from .sturm import EXPONENT_GUARD, MeasureUnderflowError
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "stiffness_matrix",
     "lambda1_witten",
     "graph_diameter",
-    "sphere_height_case",
     "write_off",
     "write_eigenvector_csv",
 ]
@@ -58,6 +57,9 @@ SHIFT = -1e-3
 # and icospheres up to subdivision 5, round and height-weighted, return
 # every copy.
 KRYLOV_DIM = 40
+# nonzero eigenvalues per solve, and ARPACK's relative accuracy
+N_EIGS = 6
+ARPACK_TOL = 1e-10
 # source vertices of the sampled graph diameter on complexes above 2000 vertices
 DIAMETER_SOURCES = 200
 
@@ -325,24 +327,19 @@ def build_icosphere(subdivisions: int) -> WeightedComplex:
     )
 
 
-def lambda1_witten(
-    complex_: WeightedComplex,
-    n_eigs: int = 6,
-    tol: float = 1e-10,
-    max_iter: int = 600,
-) -> SpectralResult:
+def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralResult:
     """First nonzero eigenvalue of the weighted complex, with diagnostics.
 
     Solves the generalized pencil S v = lam M v, M = diag(masses), with
     one ARPACK call in shift-invert mode.  The shift ``SHIFT`` is small
     and negative, so S - SHIFT M is positive definite even though S has
     the constants as kernel, and the eigenvalues nearest the shift are the
-    bottom of the spectrum.  ``n_eigs + 1`` of them are computed and the
+    bottom of the spectrum.  ``N_EIGS + 1`` of them are computed and the
     kernel is dropped after checking that it separates.  The Lanczos basis
     is ``KRYLOV_DIM`` wide so that repeated eigenvalues come out with
     their multiplicity, and the start vector is fixed, so the solve is
-    deterministic.  ``tol`` and ``max_iter``
-    are ARPACK's relative accuracy and restart cap; when the cap is hit,
+    deterministic.  ``ARPACK_TOL`` is ARPACK's relative accuracy and
+    ``max_iter`` its restart cap; when the cap is hit,
     ``EigensolverConvergenceError`` is raised.
     """
     n = complex_.n_vertices
@@ -351,7 +348,7 @@ def lambda1_witten(
     if not complex_.is_connected():
         raise ValueError("complex is disconnected; the drift Laplacian has extra kernel")
     # ARPACK needs fewer requested pairs than vertices
-    n_eigs = min(n_eigs, n - 2)
+    n_eigs = min(N_EIGS, n - 2)
     weights = complex_.masses
     try:
         values, vectors = eigsh(
@@ -362,13 +359,13 @@ def lambda1_witten(
             which="LM",
             v0=np.cos(0.618 * np.arange(n)),
             ncv=min(n, max(2 * n_eigs + 3, KRYLOV_DIM)),
-            tol=tol,
+            tol=ARPACK_TOL,
             maxiter=max_iter,
         )
     except ArpackNoConvergence as exc:
         raise EigensolverConvergenceError(
             f"ARPACK shift-invert found {len(exc.eigenvalues)} of {n_eigs + 1} "
-            f"eigenpairs within {max_iter} restarts (tol {tol:.1e})"
+            f"eigenpairs within {max_iter} restarts (tol {ARPACK_TOL:.1e})"
         ) from exc
     order = np.argsort(values)
     values, vectors = values[order], vectors[:, order]
@@ -430,48 +427,6 @@ def graph_diameter(complex_: WeightedComplex) -> float:
         dist_to_set = np.minimum(dist_to_set, dist)
         source = int(np.argmax(dist_to_set))
     return best
-
-
-def sphere_height_case(a: float, subdivisions: int = 5) -> VerificationReport:
-    """Certify the gap bound for the unit sphere weighted by phi = a z.
-
-    The Hessian of the height function z on the unit sphere is -z g, so
-    Ric + Hess(a z) = (1 - a z) g >= (1 - |a|) g: curvature constant
-    K = 1 - |a| with diameter pi.  The discrete lambda_1 of the weighted
-    icosphere must dominate the closed-form bound at that (K, pi), up to
-    the stated mesh tolerance.
-    """
-    if not (math.isfinite(a) and abs(a) < 1.0):
-        raise ValueError(f"height coefficient a must satisfy |a| < 1, got {a!r}")
-    mesh = build_icosphere(subdivisions)
-    weighted = apply_weight(mesh, a * mesh.vertices[:, 2])
-    result = lambda1_witten(weighted)
-    K = 1.0 - abs(a)
-    inp = BoundInput(K=K, d=math.pi)
-    bound = sup_bound_closed(inp)
-    tol = 1e-2 * max(1.0, result.lambda1)
-    notes = [
-        "K = 1 - |a| from Hess(z) = -z g on the unit sphere; diameter pi is exact",
-        f"icosphere with {mesh.n_vertices} vertices, cotangent weights",
-        f"graph diameter estimate {graph_diameter(weighted):.6f}",
-    ]
-    return make_report(
-        case_id=f"sphere-height-a={a:g}",
-        inputs={"a": a, "K": K, "d": math.pi, "subdivisions": float(subdivisions)},
-        computed={
-            "lambda1": result.lambda1,
-            "residual": result.residual,
-            "multiplicity_gap": result.multiplicity_gap,
-        },
-        bounds={
-            "sup_closed": bound,
-            "futaki_sano": futaki_sano_bound(inp),
-            "andrews_ni": andrews_ni_bound(inp),
-        },
-        margins={"gap_vs_sup_closed": result.lambda1 - bound},
-        tolerances={"gap_vs_sup_closed": tol},
-        notes=notes,
-    )
 
 
 def write_off(complex_: WeightedComplex, path) -> None:

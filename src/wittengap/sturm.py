@@ -47,6 +47,9 @@ __all__ = [
     "verify_comparison",
 ]
 
+# certified tolerance of the comparison inequality, relative to max(1, lambda_1)
+TOL_COMPARE_REL = 1e-5
+
 # exp arguments beyond this over/underflow in float64 (exp(709.8) ~ 1.8e308)
 EXPONENT_GUARD = 700.0
 
@@ -338,12 +341,10 @@ def dirichlet_lambda1(K: float, d: float, m: int = 2000) -> float:
     return (4.0 * fine - coarse) / 3.0
 
 
-def verify_comparison(
-    K: float, d: float, m: int = 2000, tol_rel: float = 1e-5
-) -> VerificationReport:
+def verify_comparison(K: float, d: float, m: int = 2000) -> VerificationReport:
     """Certify lambda_1(L) >= sup_bound_closed(K, d) for one parameter pair.
 
-    The margin lambda_1 - bound is tested against tol_rel * max(1, lambda_1).
+    The margin lambda_1 - bound is tested against TOL_COMPARE_REL * max(1, lambda_1).
     At K = 0 the two sides agree exactly in the continuum (both equal
     pi^2/d^2), so the margin should vanish to extrapolation accuracy.
     The fixed-slope comparison bounds are reported alongside; for K < 0
@@ -353,7 +354,7 @@ def verify_comparison(
     inp = BoundInput(K=K, d=d)
     lam1 = neumann_lambda1(K, d, m=m)
     bound = sup_bound_closed(inp)
-    tol = tol_rel * max(1.0, abs(lam1))
+    tol = TOL_COMPARE_REL * max(1.0, abs(lam1))
     notes = [f"comparison operator solved at m={m} and m={2 * m}, extrapolated"]
     if K == 0.0:
         notes.append("K = 0: bound is sharp, margin should vanish to solver accuracy")

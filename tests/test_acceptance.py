@@ -1,30 +1,17 @@
 """Acceptance gate: the twelve certified criteria, one pass/fail line each.
 
 Each criterion pins its tolerance as a literal here, independently of the
-RunConfig defaults, so loosening a config tolerance cannot quietly loosen
-the gate.  All cases run at the default (certified) resolutions through
-the same case functions the verify-all command uses.
+tolerance constants in ``wittengap.cli``, so loosening one of them cannot
+quietly loosen the gate.  The gate reads the reports of ``run_suite`` at
+the default (certified) resolutions, the same reports the verify-all
+command writes.
 """
 
 import math
 
 import pytest
 
-from wittengap.cli import (
-    HEIGHT_COEFFICIENTS,
-    RunConfig,
-    case_circle_shrinker,
-    case_circle_spectrum,
-    case_closed_vs_grid,
-    case_comparison_grid,
-    case_gaussian,
-    case_rosette,
-    case_soliton_constants,
-    case_sphere_round,
-    case_weight_shift,
-)
-from wittengap.shrinkers import find_abresch_langer
-from wittengap.spectral import sphere_height_case
+from wittengap.cli import HEIGHT_COEFFICIENTS, RunConfig, run_suite
 
 
 def announce(capsys, num: int, ok: bool, text: str) -> None:
@@ -34,58 +21,58 @@ def announce(capsys, num: int, ok: bool, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def cfg():
-    return RunConfig()
+def reports():
+    return {r.case_id: r for r in run_suite(RunConfig())}
 
 
 @pytest.fixture(scope="module")
-def rep_bounds(cfg):
-    return case_closed_vs_grid(cfg)
+def rep_bounds(reports):
+    return reports["bounds-closed-vs-grid"]
 
 
 @pytest.fixture(scope="module")
-def rep_constants(cfg):
-    return case_soliton_constants(cfg)
+def rep_constants(reports):
+    return reports["soliton-constants"]
 
 
 @pytest.fixture(scope="module")
-def rep_comparison(cfg):
-    return case_comparison_grid(cfg)
+def rep_comparison(reports):
+    return reports["ou-comparison-grid"]
 
 
 @pytest.fixture(scope="module")
-def rep_circles(cfg):
-    return [case_circle_spectrum(cfg, radius) for radius in (1.0, 2.0)]
+def rep_circles(reports):
+    return [reports[f"circle-spectrum-r={radius:g}"] for radius in (1.0, 2.0)]
 
 
 @pytest.fixture(scope="module")
-def rep_sphere(cfg):
-    return case_sphere_round(cfg)
+def rep_sphere(reports):
+    return reports["sphere-round"]
 
 
 @pytest.fixture(scope="module")
-def rep_heights(cfg):
-    return [sphere_height_case(a, cfg.sphere_subdivisions) for a in HEIGHT_COEFFICIENTS]
+def rep_heights(reports):
+    return [reports[f"sphere-height-a={a:g}"] for a in HEIGHT_COEFFICIENTS]
 
 
 @pytest.fixture(scope="module")
-def rep_shift(cfg):
-    return case_weight_shift(cfg)
+def rep_shift(reports):
+    return reports["weight-shift-invariance"]
 
 
 @pytest.fixture(scope="module")
-def rep_circle_shrinker(cfg):
-    return case_circle_shrinker(cfg)
+def rep_circle_shrinker(reports):
+    return reports["shrinker-circle"]
 
 
 @pytest.fixture(scope="module")
-def rep_rosette(cfg):
-    return case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points))
+def rep_rosette(reports):
+    return reports["shrinker-rosette-2-3"]
 
 
 @pytest.fixture(scope="module")
-def rep_gaussian(cfg):
-    return case_gaussian(cfg)
+def rep_gaussian(reports):
+    return reports["gaussian-soliton"]
 
 
 def test_criterion_01_closed_form_vs_grid(capsys, rep_bounds):
@@ -279,38 +266,10 @@ def test_criterion_12_constant_ledger(capsys, rep_constants):
     assert ok
 
 
-def test_default_suite_all_cases_pass(
-    capsys,
-    cfg,
-    rep_bounds,
-    rep_constants,
-    rep_comparison,
-    rep_circles,
-    rep_sphere,
-    rep_heights,
-    rep_shift,
-    rep_circle_shrinker,
-    rep_rosette,
-    rep_gaussian,
-):
-    # the same reports the verify-all command assembles, at the same defaults
-    reports = sorted(
-        [
-            rep_bounds,
-            rep_constants,
-            rep_comparison,
-            *rep_circles,
-            rep_sphere,
-            *rep_heights,
-            rep_shift,
-            rep_circle_shrinker,
-            rep_rosette,
-            rep_gaussian,
-        ],
-        key=lambda r: r.case_id,
-    )
-    ids = [r.case_id for r in reports]
-    failing = [r.case_id for r in reports if not r.passed]
+def test_default_suite_all_cases_pass(capsys, reports):
+    # every report the verify-all command writes, at the same defaults
+    ids = list(reports)
+    failing = [cid for cid, r in reports.items() if not r.passed]
     ok = len(reports) == 14 and len(set(ids)) == 14 and not failing
     with capsys.disabled():
         print(

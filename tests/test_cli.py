@@ -8,6 +8,7 @@ import pytest
 
 import wittengap.cli as cli
 import wittengap.shrinkers as shrinkers
+import wittengap.spectral as spectral
 from wittengap.cli import RunConfig, config_from_sources, main, parse_config_file
 
 # reduced resolutions: fast and deterministic, deliberately below several
@@ -40,13 +41,26 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def count_calls(monkeypatch, modules, names):
+    """Replace each module's <name> by a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in modules:
+        for name in names:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(circle_n=8)
-    with pytest.raises(ValueError):
-        RunConfig(d_min=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(k_min=1.0, k_max=0.0)
     with pytest.raises(ValueError):
         RunConfig(sphere_subdivisions=9)
     with pytest.raises(ValueError):
@@ -73,6 +87,20 @@ def test_config_sources_precedence(tmp_path):
     path.write_text("no_such_key = 1\n")
     with pytest.raises(ValueError):
         config_from_sources(str(path), {})
+
+
+@pytest.mark.parametrize("line", ["tol_circle_rel = 1", "k_min = 0"])
+@pytest.mark.parametrize(
+    "argv", [("verify-all",), ("spectral", "--case", "circle", "--n", "64")], ids=lambda a: a[0]
+)
+def test_config_cannot_set_certified_constants(capsys, tmp_path, line, argv):
+    # tolerances and the (K, d) box are part of the certification, not settings
+    path = tmp_path / "loose.cfg"
+    path.write_text(line + "\n")
+    rc, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert "unknown config key" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bounds_json(capsys):
@@ -135,22 +163,12 @@ def test_ou_check_shift(capsys):
 
 @pytest.mark.parametrize("bc", ["both", "neumann", "dirichlet"])
 def test_ou_check_shift_solves_each_problem_once(capsys, monkeypatch, bc):
-    calls = {"neumann": 0, "dirichlet": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(cli, "neumann_lambda1", counted("neumann", cli.neumann_lambda1))
-    monkeypatch.setattr(cli, "dirichlet_lambda1", counted("dirichlet", cli.dirichlet_lambda1))
+    calls = count_calls(monkeypatch, [cli], ["neumann_lambda1", "dirichlet_lambda1"])
     rc, out, _ = run_cli(
         capsys, "ou", "--K", "1", "--d", "2", "--m", "100", "--bc", bc, "--check-shift"
     )
     assert rc == 0
-    assert calls == {"neumann": 1, "dirichlet": 1}
+    assert calls == {"neumann_lambda1": 1, "dirichlet_lambda1": 1}
     obj = json.loads(out)
     assert {"lambda_neumann", "lambda_dirichlet", "shift_defect"} <= set(obj)
 
@@ -198,6 +216,27 @@ def test_spectral_sphere_height_exports(capsys, tmp_path):
     vec_lines = vec.read_text().splitlines()
     assert vec_lines[0] == "vertex_index,x,y,z,phi,u"
     assert len(vec_lines) == 1 + 162
+
+
+def test_spectral_builds_and_solves_once(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, [cli, spectral], ["build_icosphere", "lambda1_witten"])
+    rc, _, _ = run_cli(
+        capsys,
+        "spectral", "--case", "sphere-height", "--a", "0.3", "--subdivisions", "2",
+        "--export-off", str(tmp_path / "mesh.off"),
+        "--export-eigenvector", str(tmp_path / "vec.csv"),
+    )
+    assert rc == 0
+    assert calls == {"build_icosphere": 1, "lambda1_witten": 1}
+
+
+def test_suite_shares_the_round_sphere(monkeypatch, tiny_config):
+    calls = count_calls(monkeypatch, [cli, spectral], ["build_icosphere", "lambda1_witten"])
+    assert len(cli.run_suite(config_from_sources(tiny_config, {}))) == 14
+    # sphere-round and the four height cases share one mesh, the shift case
+    # builds its own; one solve per circle, round sphere and height case,
+    # three for the shift case
+    assert calls == {"build_icosphere": 2, "lambda1_witten": 2 + 1 + 4 + 3}
 
 
 def test_spectral_height_requires_a(capsys):

@@ -12,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wittengap.shrinkers as shrinkers
 from wittengap.shrinkers import (
     assemble_rosette,
     circle_shrinker,
@@ -141,6 +142,22 @@ def test_default_bracket_is_repaired_automatically():
     assert all(0.0 < entry["r0"] < 1.0 for entry in log)
     # one Brent run, not a 46-step bisection
     assert len(log) <= 16
+
+
+def test_shooting_repeats_no_shot(monkeypatch):
+    # brentq evaluates the repaired bracket end again and converges on one
+    # of its own evaluations; neither may be integrated a second time
+    shots = []
+    shoot = shrinkers._closure_functional
+
+    def recorded(lam, r0, psi, h):
+        shots.append((r0, h))
+        return shoot(lam, r0, psi, h)
+
+    monkeypatch.setattr(shrinkers, "_closure_functional", recorded)
+    find_abresch_langer(1.0, 2, 3)
+    assert len(shots) <= 14
+    assert len(set(shots)) == len(shots)
 
 
 def test_coarse_rosette_from_shared_arc_is_bit_identical(rosette23):

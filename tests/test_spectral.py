@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittengap.cli import RunConfig, case_sphere_height
 from wittengap.spectral import (
     EigensolverConvergenceError,
     WeightedComplex,
@@ -16,7 +17,6 @@ from wittengap.spectral import (
     build_weighted_circle,
     graph_diameter,
     lambda1_witten,
-    sphere_height_case,
     stiffness_matrix,
     witten_apply,
     write_eigenvector_csv,
@@ -262,13 +262,17 @@ def test_complex_validation():
 
 
 def test_sphere_height_report():
-    rep = sphere_height_case(0.5, subdivisions=3)
+    cfg = RunConfig(sphere_subdivisions=3)
+    mesh = build_icosphere(3)
+    weighted = apply_weight(mesh, 0.5 * mesh.vertices[:, 2])
+    res = lambda1_witten(weighted)
+    rep = case_sphere_height(cfg, 0.5, weighted, res)
     assert rep.case_id == "sphere-height-a=0.5"
     assert rep.passed
     assert set(rep.margins) == {"gap_vs_sup_closed"}
     assert rep.computed["lambda1"] > rep.bounds["sup_closed"]
     with pytest.raises(ValueError):
-        sphere_height_case(1.0)
+        case_sphere_height(cfg, 1.0, weighted, res)
 
 
 def test_exports_roundtrip(tmp_path):
