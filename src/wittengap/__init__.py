@@ -44,12 +44,10 @@ from wittengap.shrinkers import (
     find_abresch_langer,
     first_integral,
     gaussian_soliton_check,
-    integrate_shrinker,
     k0_and_diameter,
     mean_curvature_identity_residual,
     potential_phi,
     verify_shrinker_diameter,
-    verify_shrinker_diameter_values,
     write_curve_csv,
 )
 from wittengap.spectral import (
@@ -66,7 +64,6 @@ from wittengap.spectral import (
     write_off,
 )
 from wittengap.sturm import (
-    EigenSolution,
     OUProblem,
     TridiagonalPencil,
     dirichlet_lambda1,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundInput",
-    "EigenSolution",
     "EigensolverConvergenceError",
     "FundamentalArc",
     "OptimalS",
@@ -111,7 +107,6 @@ __all__ = [
     "gap_expression",
     "gaussian_soliton_check",
     "graph_diameter",
-    "integrate_shrinker",
     "k0_and_diameter",
     "lambda1_witten",
     "make_report",
@@ -129,7 +124,6 @@ __all__ = [
     "sup_bound_grid",
     "verify_comparison",
     "verify_shrinker_diameter",
-    "verify_shrinker_diameter_values",
     "witten_apply",
     "write_curve_csv",
     "write_eigenvector_csv",

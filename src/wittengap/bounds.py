@@ -55,8 +55,6 @@ __all__ = [
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
-# s-grid size of the shrinker diameter bound's maximization
-SHRINKER_SUP_GRID = 10**5
 
 
 @dataclass(frozen=True)
@@ -224,15 +222,17 @@ def shrinker_diameter_bound(inp: ShrinkerBoundInput) -> float:
 
 
 def shrinker_diameter_bound_sup(inp: ShrinkerBoundInput) -> float:
-    """Grid-search the s-family of shrinker diameter bounds.
+    """Supremum over s of the s-family of shrinker diameter bounds.
 
     For s in (0, 1) the gap bound with K = lam - K0 under the ceiling
-    lambda_1 <= 2 lam gives d >= 2 pi sqrt(s (1 - s) / (2 lam - s K)).
-    The denominator equals lam (2 - s) + s K0 and is always positive.
-    Returns the largest bound over a uniform ``SHRINKER_SUP_GRID``-point
-    s-grid; the s = 1/2 member recovers ``shrinker_diameter_bound``.
+    lambda_1 <= 2 lam gives d >= 2 pi sqrt(s (1 - s) / (lam (2 - s) + s K0)),
+    whose denominator is always positive.  Setting the derivative of the
+    ratio to zero gives (K0 - lam) s^2 + 4 lam s - 2 lam = 0, with the
+    root s* = 1 / (1 + sqrt((lam + K0) / (2 lam))) in (0, 1) written
+    without the cancellation at K0 = lam.  The s = 1/2 member recovers
+    ``shrinker_diameter_bound``, and K0 = 0 the soliton constant
+    2 (sqrt(2) - 1) pi / sqrt(lam).
     """
-    K = inp.lam - inp.K0
-    s = _interior_grid(SHRINKER_SUP_GRID)
-    values = 2.0 * math.pi * np.sqrt(s * (1.0 - s) / (2.0 * inp.lam - s * K))
-    return float(values.max())
+    lam, K0 = inp.lam, inp.K0
+    s = 1.0 / (1.0 + math.sqrt((lam + K0) / (2.0 * lam)))
+    return 2.0 * math.pi * math.sqrt(s * (1.0 - s) / (lam * (2.0 - s) + s * K0))

@@ -6,7 +6,9 @@ Subcommands
 ``ou``          finite-volume comparison operator on an interval
 ``spectral``    weighted complex spectra: circles, icospheres, height weights
 ``shrinker``    self-shrinking curves: circle, rosettes, the Gaussian model
-``verify-all``  the full certification suite, one JSON report per case
+``verify-all``  the full certification suite, one JSON report per case and
+                one ``PASS|FAIL <case_id> slack <x>`` line, x the smallest
+                margin + tolerance
 
 Reports carry ``schema: 1`` and serialize with sorted keys and no
 timestamps, so identical configurations produce byte-identical output.
@@ -417,10 +419,11 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
 
 
 def case_circle_spectrum(
-    radius: float, circle: WeightedComplex, res: SpectralResult
+    radius: float, circle: WeightedComplex, res: SpectralResult, diameter: float
 ) -> VerificationReport:
-    """Unweighted circle, solved by the caller into ``res``: lambda_1 must
-    match 1/r^2, equivalently pi^2/d^2 with d = pi r half the circumference."""
+    """Unweighted circle, solved by the caller into ``res`` and measured
+    into ``diameter``: lambda_1 must match 1/r^2, equivalently pi^2/d^2
+    with d = pi r half the circumference."""
     target = 1.0 / radius**2
     rel_curv = abs(res.lambda1 - target) / target
     d_exact = math.pi * radius
@@ -434,7 +437,7 @@ def case_circle_spectrum(
             "residual": res.residual,
             "cluster_size": float(cluster_size),
             "multiplicity_gap": float(res.multiplicity_gap),
-            "diameter_estimate": graph_diameter(circle),
+            "diameter_estimate": diameter,
         },
         bounds={"inverse_r2": target, "pi2_over_d2": math.pi**2 / d_exact**2},
         margins={"lambda1_vs_curvature": -rel_curv, "flat_interval_equality": -rel_flat},
@@ -447,10 +450,11 @@ def case_circle_spectrum(
 
 
 def case_sphere_round(
-    cfg: RunConfig, mesh: WeightedComplex, res: SpectralResult
+    cfg: RunConfig, mesh: WeightedComplex, res: SpectralResult, diameter: float
 ) -> VerificationReport:
     """Unweighted icosphere at ``cfg.sphere_subdivisions``, solved by the
-    caller into ``res``: lambda_1 near 2 with a three-fold cluster."""
+    caller into ``res`` and measured into ``diameter``: lambda_1 near 2
+    with a three-fold cluster."""
     rel = abs(res.lambda1 - 2.0) / 2.0
     cluster_size = int(np.sum(res.eigenvalues <= 1.05 * res.lambda1))
     return make_report(
@@ -461,7 +465,7 @@ def case_sphere_round(
             "residual": res.residual,
             "cluster_size": float(cluster_size),
             "multiplicity_gap": float(res.multiplicity_gap),
-            "diameter_estimate": graph_diameter(mesh),
+            "diameter_estimate": diameter,
         },
         bounds={"continuum_lambda1": 2.0, "continuum_multiplicity": 3.0},
         margins={
@@ -474,10 +478,11 @@ def case_sphere_round(
 
 
 def case_sphere_height(
-    cfg: RunConfig, a: float, weighted: WeightedComplex, res: SpectralResult
+    cfg: RunConfig, a: float, weighted: WeightedComplex, res: SpectralResult, diameter: float
 ) -> VerificationReport:
     """Certify the gap bound for the unit icosphere ``weighted`` by phi = a z,
-    solved by the caller into ``res``.
+    solved by the caller into ``res`` and measured into ``diameter`` (the
+    weight changes neither vertices nor edges, so it is the round mesh's).
 
     The Hessian of the height function z on the unit sphere is -z g, so
     Ric + Hess(a z) = (1 - a z) g >= (1 - |a|) g: curvature constant
@@ -507,7 +512,7 @@ def case_sphere_height(
         notes=[
             "K = 1 - |a| from Hess(z) = -z g on the unit sphere; diameter pi is exact",
             f"icosphere with {weighted.n_vertices} vertices, cotangent weights",
-            f"graph diameter estimate {graph_diameter(weighted):.6f}",
+            f"graph diameter estimate {diameter:.6f}",
         ],
     )
 
@@ -660,17 +665,25 @@ def case_gaussian(cfg: RunConfig) -> VerificationReport:
 
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
     """All certification cases, sorted by case id.  Each complex is built
-    and solved once; the round icosphere also carries the height weights."""
+    and solved once; the round icosphere also carries the height weights,
+    which leave its graph diameter unchanged, so that is measured once."""
     reports = [case_closed_vs_grid(cfg), case_soliton_constants(cfg), case_comparison_grid(cfg)]
     # built after the s-grid cases: the icosphere build leaves heap behind
     # that raised the suite's peak RSS by 9 MB when it came first
     circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
     sphere = build_icosphere(cfg.sphere_subdivisions)
+    sphere_d = graph_diameter(sphere)
     heights = {a: apply_weight(sphere, a * sphere.vertices[:, 2]) for a in HEIGHT_COEFFICIENTS}
     reports += [
-        *[case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()],
-        case_sphere_round(cfg, sphere, lambda1_witten(sphere)),
-        *[case_sphere_height(cfg, a, w, lambda1_witten(w)) for a, w in heights.items()],
+        *[
+            case_circle_spectrum(r, c, lambda1_witten(c), graph_diameter(c))
+            for r, c in circles.items()
+        ],
+        case_sphere_round(cfg, sphere, lambda1_witten(sphere), sphere_d),
+        *[
+            case_sphere_height(cfg, a, w, lambda1_witten(w), sphere_d)
+            for a, w in heights.items()
+        ],
         case_weight_shift(cfg),
         case_circle_shrinker(cfg),
         case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
@@ -782,7 +795,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         comp = apply_weight(mesh, args.a * mesh.vertices[:, 2])
         case = functools.partial(case_sphere_height, cfg, args.a)
     res = lambda1_witten(comp)
-    rep = case(comp, res)
+    rep = case(comp, res, graph_diameter(comp))
     if args.export_off:
         write_off(comp, args.export_off)
     if args.export_eigenvector:
@@ -830,7 +843,8 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     for rep in reports:
         with open(os.path.join(out_dir, rep.case_id + ".json"), "w") as fh:
             fh.write(rep.to_json())
-        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.case_id}")
+        slack = min(rep.margins[k] + rep.tolerances[k] for k in rep.margins)
+        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.case_id} slack {slack:+.3e}")
     n_pass = sum(1 for r in reports if r.passed)
     summary = {
         "schema": SCHEMA_VERSION,

@@ -16,7 +16,9 @@ p times while the curvature oscillates q times.  ``find_abresch_langer``
 shoots once, by Brent's method (Brent, *Algorithms for Minimization
 without Derivatives*, 1973), for the initial radius of a fundamental arc
 that meets its symmetry line orthogonally; ``assemble_rosette`` then
-joins 2q reflected copies of that arc at any node count.
+joins 2q reflected copies of that arc at any node count.  With
+``circle_shrinker`` these are the only constructors, so every
+``ShrinkerCurve`` is closed.
 
 Every closed curve carries the potential phi = lam |x|^2 / 2 - 1/2,
 which the drift Laplacian of the induced weighted ring complex maps to
@@ -48,7 +50,6 @@ __all__ = [
     "CurvatureDiameter",
     "SolitonPointCheck",
     "circle_shrinker",
-    "integrate_shrinker",
     "first_integral",
     "find_abresch_langer",
     "assemble_rosette",
@@ -58,7 +59,6 @@ __all__ = [
     "eigen_identity_residual",
     "k0_and_diameter",
     "verify_shrinker_diameter",
-    "verify_shrinker_diameter_values",
     "gaussian_soliton_check",
     "write_curve_csv",
 ]
@@ -73,15 +73,14 @@ TOL_CLOSURE = 1e-8
 
 @dataclass
 class ShrinkerCurve:
-    """Arclength-sampled plane curve with tangent angle and curvature.
+    """Closed plane curve sampled uniformly in arclength, with tangent
+    angle and curvature at each node.
 
-    Closed curves are uniformly spaced by ``h`` and do not repeat the
-    first point; open arcs from the integrator end with one shorter step
-    that lands exactly on the stopping angle (its length in
-    ``final_step``).  ``rotation_p``/``petals_q`` are (0, 0) for circles
-    and the (p, q) indices for assembled rosettes, whose maximal joint
-    mismatch is recorded in ``closure_residual`` and whose fundamental
-    arc is kept in ``arc``.
+    The nodes are spaced by ``h`` and do not repeat the first point, so
+    the length is ``n_points * h``.  ``rotation_p``/``petals_q`` are
+    (0, 0) for circles and the (p, q) indices for assembled rosettes,
+    whose maximal joint mismatch is recorded in ``closure_residual`` and
+    whose fundamental arc is kept in ``arc``.
     """
 
     lam: float
@@ -89,12 +88,10 @@ class ShrinkerCurve:
     angles: np.ndarray
     curvatures: np.ndarray
     h: float
-    closed: bool
     rotation_p: int = 0
     petals_q: int = 0
     label: str = ""
     closure_residual: float = math.nan
-    final_step: float | None = None
     arc: FundamentalArc | None = None
 
     def __post_init__(self) -> None:
@@ -114,8 +111,6 @@ class ShrinkerCurve:
 
     @property
     def length(self) -> float:
-        if not self.closed:
-            raise ValueError("length is defined for closed curves only")
         return self.n_points * self.h
 
     @property
@@ -193,7 +188,6 @@ def circle_shrinker(lam: float, n_points: int) -> ShrinkerCurve:
         angles=alpha + 0.5 * math.pi,
         curvatures=np.full(n_points, lam * r),
         h=2.0 * math.pi * r / n_points,
-        closed=True,
         rotation_p=0,
         petals_q=0,
         label=f"circle-lam={lam:g}",
@@ -266,35 +260,6 @@ def _integrate(lam: float, r0: float, h: float, span: float | None, n_steps: int
 def _curvature_of(lam: float, xs1, xs2, ths) -> np.ndarray:
     x1, x2, th = np.asarray(xs1), np.asarray(xs2), np.asarray(ths)
     return lam * (x1 * np.sin(th) - x2 * np.cos(th))
-
-
-def integrate_shrinker(lam: float, r0: float, span: float, h: float) -> ShrinkerCurve:
-    """Open arc of the shrinker ODE until the tangent advances by span.
-
-    Starts at x = (r0, 0) with th = pi/2 (tangent straight up, so the
-    start is a radius extremum).  Classical RK4 with fixed step h; the
-    final partial step lands on the target angle exactly.
-    """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lam must be positive, got {lam!r}")
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise ValueError(f"r0 must be positive, got {r0!r}")
-    if not (0.0 < span <= 8.0 * math.pi):
-        raise ValueError(f"span must be in (0, 8 pi], got {span!r}")
-    if not (0.0 < h <= 1e-3 * r0):
-        raise ValueError(f"step h must satisfy 0 < h <= 1e-3 r0 = {1e-3 * r0:g}, got {h!r}")
-    xs1, xs2, ths, final_step = _integrate(lam, r0, h, span, None)
-    points = np.column_stack([xs1, xs2])
-    return ShrinkerCurve(
-        lam=lam,
-        points=points,
-        angles=np.asarray(ths),
-        curvatures=_curvature_of(lam, xs1, xs2, ths),
-        h=h,
-        closed=False,
-        label=f"arc-lam={lam:g}-r0={r0:g}",
-        final_step=final_step,
-    )
 
 
 def first_integral(lam: float, points: np.ndarray, curvatures: np.ndarray) -> np.ndarray:
@@ -448,7 +413,6 @@ def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
         angles=angles,
         curvatures=curvatures,
         h=arc.length / J,
-        closed=True,
         rotation_p=arc.p,
         petals_q=q,
         label=f"rosette-{arc.p}-{q}-lam={lam:g}",
@@ -476,8 +440,6 @@ def curve_complex(curve: ShrinkerCurve) -> WeightedComplex:
     change of measure; the pencil realizes the drift Laplacian of the
     curve with its shrinker potential.
     """
-    if not curve.closed:
-        raise ValueError("curve complex requires a closed curve")
     n = curve.n_points
     vertices = np.column_stack([curve.points, np.zeros(n)])
     edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n]).astype(np.int64)
@@ -499,8 +461,6 @@ def mean_curvature_identity_residual(curve: ShrinkerCurve) -> float:
     holds exactly on every shrinker, so the residual is pure
     discretization error, second order in h.
     """
-    if not curve.closed:
-        raise ValueError("identity check requires a closed curve")
     g = (curve.points**2).sum(axis=1)
     lap = (np.roll(g, 1) - 2.0 * g + np.roll(g, -1)) / curve.h**2
     res = curve.curvatures**2 / (2.0 * curve.lam) + 0.25 * lap - 0.5
@@ -515,8 +475,6 @@ def eigen_identity_residual(curve: ShrinkerCurve) -> float:
     realization, so the identity reads witten_apply(phi) = 2 lam phi).
     Normalized by max(1, ||phi||_inf).
     """
-    if not curve.closed:
-        raise ValueError("identity check requires a closed curve")
     phi = potential_phi(curve)
     wc = curve_complex(curve)
     defect = 2.0 * curve.lam * phi - witten_apply(wc, phi)
@@ -525,8 +483,6 @@ def eigen_identity_residual(curve: ShrinkerCurve) -> float:
 
 def k0_and_diameter(curve: ShrinkerCurve) -> CurvatureDiameter:
     """K0 = max k^2, intrinsic diameter d = length/2, and K = lam - K0."""
-    if not curve.closed:
-        raise ValueError("diameter is defined for closed curves only")
     K0 = float((curve.curvatures**2).max())
     return CurvatureDiameter(K0=K0, d=0.5 * curve.length, K=curve.lam - K0)
 
@@ -537,27 +493,17 @@ _CONVENTION_NOTE = (
 )
 
 
-def verify_shrinker_diameter(
-    curve: ShrinkerCurve, trivial_ok: bool = False
-) -> VerificationReport:
+def verify_shrinker_diameter(curve: ShrinkerCurve) -> VerificationReport:
     """Certify d >= pi / sqrt(3 lam / 2 + K0 / 2) on a closed shrinker.
 
     Also certifies the sharper bound obtained by maximizing the
     two-sided gap inequality over the interpolation parameter; genuine
-    shrinkers satisfy both.  The circle is the excluded trivial case
-    (its potential vanishes identically); pass trivial_ok=True to report
-    it anyway, marked as trivial.
+    shrinkers satisfy both.  The circle is the excluded trivial case (its
+    potential vanishes identically) and raises ``ValueError``.
     """
-    if not curve.closed:
-        raise ValueError("diameter certification requires a closed curve")
-    notes = [_CONVENTION_NOTE]
     if curve.is_circular():
-        if not trivial_ok:
-            raise ValueError(
-                "circle has phi = 0, so the diameter certificate is vacuous; "
-                "pass trivial_ok=True to report it anyway"
-            )
-        notes.append("trivial (phi = 0)")
+        raise ValueError("circle has phi = 0, so the diameter certificate is vacuous")
+    notes = [_CONVENTION_NOTE]
     kd = k0_and_diameter(curve)
     inp = ShrinkerBoundInput(lam=curve.lam, K0=kd.K0)
     bound_half = shrinker_diameter_bound(inp)
@@ -577,32 +523,6 @@ def verify_shrinker_diameter(
         margins={"d_vs_bound_half": kd.d - bound_half, "d_vs_bound_sup": kd.d - bound_sup},
         tolerances={"d_vs_bound_half": 1e-9, "d_vs_bound_sup": 1e-9},
         notes=notes,
-    )
-
-
-def verify_shrinker_diameter_values(lam: float, K0: float, d: float) -> VerificationReport:
-    """Diameter certificate from raw (lam, K0, d) numbers.
-
-    Certifies only the fixed-parameter bound: the sharper sup bound
-    presumes the full eigenvalue chain of a genuine shrinker and is
-    reported for information.
-    """
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"d must be positive, got {d!r}")
-    inp = ShrinkerBoundInput(lam=lam, K0=K0)
-    bound_half = shrinker_diameter_bound(inp)
-    bound_sup = shrinker_diameter_bound_sup(inp)
-    return make_report(
-        case_id=f"shrinker-diameter-synthetic-lam={lam:g}-K0={K0:g}-d={d:g}",
-        inputs={"lam": lam, "K0": K0, "d": d},
-        computed={"d": d},
-        bounds={"bound_half": bound_half, "bound_sup": bound_sup},
-        margins={"d_vs_bound_half": d - bound_half},
-        tolerances={"d_vs_bound_half": 1e-9},
-        notes=[
-            "synthetic data: only the fixed-parameter bound is certified; "
-            "the sup bound applies to genuine shrinkers",
-        ],
     )
 
 
@@ -662,8 +582,6 @@ def write_curve_csv(curve: ShrinkerCurve, path) -> None:
     cumulative arclength from the first node.
     """
     s = np.arange(curve.n_points, dtype=np.float64) * curve.h
-    if not curve.closed and curve.final_step is not None and curve.n_points >= 2:
-        s[-1] = s[-2] + curve.final_step
     phi = potential_phi(curve)
     with open(path, "w") as fh:
         fh.write(f"# closure_residual = {curve.closure_residual:.17g}\n")

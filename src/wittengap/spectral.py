@@ -200,14 +200,12 @@ def apply_weight(complex_: WeightedComplex, phi_values: np.ndarray) -> WeightedC
     )
 
 
-def build_weighted_circle(n: int, radius: float = 1.0, phi_fn=None) -> WeightedComplex:
+def build_weighted_circle(n: int, radius: float = 1.0) -> WeightedComplex:
     """Uniform n-point circle of given radius in the z = 0 plane.
 
-    The unweighted complex has conductance 1/h and mass h with
-    h = 2 pi radius / n, the standard second-difference discretization of
-    d^2/ds^2 along arclength.  ``phi_fn`` maps the (n, 3) vertex array to
-    per-vertex potential values; when given, the weight is applied via
-    ``apply_weight``.
+    The complex has conductance 1/h and mass h with h = 2 pi radius / n,
+    the standard second-difference discretization of d^2/ds^2 along
+    arclength; ``apply_weight`` adds a potential.
     """
     if n < 8:
         raise ValueError(f"need at least 8 vertices on a circle, got {n}")
@@ -219,7 +217,7 @@ def build_weighted_circle(n: int, radius: float = 1.0, phi_fn=None) -> WeightedC
     )
     edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n]).astype(np.int64)
     h = 2.0 * math.pi * radius / n
-    base = WeightedComplex(
+    return WeightedComplex(
         vertices=vertices,
         edges=edges,
         conductances=np.full(n, 1.0 / h),
@@ -227,9 +225,6 @@ def build_weighted_circle(n: int, radius: float = 1.0, phi_fn=None) -> WeightedC
         phi=np.zeros(n),
         label=f"circle-n={n}-r={radius:g}",
     )
-    if phi_fn is None:
-        return base
-    return apply_weight(base, np.asarray(phi_fn(vertices), dtype=np.float64))
 
 
 # vertices and faces of the unit icosahedron

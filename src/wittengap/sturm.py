@@ -8,7 +8,8 @@ is the Ornstein-Uhlenbeck generator
 self-adjoint in L^2 of the invariant weight w(x) = exp(-K x^2 / 2), since
 L u = (w u')' / w.  ``discretize_ou`` builds a symmetric finite-volume
 pencil (stiffness, mass) for either boundary condition,
-``smallest_eigenvalues`` solves it by Sturm-sequence bisection, and
+``smallest_eigenvalues`` returns the bottom of its spectrum (eigenvalues
+only) by Sturm-sequence bisection, and
 ``neumann_lambda1`` / ``dirichlet_lambda1`` wrap the solve in Richardson
 extrapolation over the cell count.
 
@@ -37,7 +38,6 @@ __all__ = [
     "MeasureUnderflowError",
     "OUProblem",
     "TridiagonalPencil",
-    "EigenSolution",
     "discretize_ou",
     "stiffness_apply",
     "smallest_eigenvalues",
@@ -129,20 +129,6 @@ class TridiagonalPencil:
         return self.diag.shape[0]
 
 
-@dataclass
-class EigenSolution:
-    """Smallest eigenvalues of a pencil, with optional vectors and residuals.
-
-    ``eigenvectors[:, k]`` is mass-normalized (v^T M v = 1) and
-    ``residual_norms[k]`` is || S v - lam M v || measured in the
-    M^{-1} norm, the natural pairing for the generalized problem.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
-    residual_norms: np.ndarray
-
-
 def _weight(K: float, x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * K * x * x)
 
@@ -229,83 +215,30 @@ def _flux_tridiag(pencil: TridiagonalPencil) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def _mass_normalize(pencil: TridiagonalPencil, v: np.ndarray) -> np.ndarray:
-    v = v / math.sqrt(float(v @ (pencil.mass * v)))
-    anchor = int(np.argmax(np.abs(v)))
-    if v[anchor] < 0.0:
-        v = -v
-    return v
-
-
-def _residual(pencil: TridiagonalPencil, lam: float, v: np.ndarray) -> float:
-    r = stiffness_apply(pencil, v) - lam * pencil.mass * v
-    return math.sqrt(float(r @ (r / pencil.mass)))
-
-
-def smallest_eigenvalues(
-    pencil: TridiagonalPencil, count: int = 2, want_vectors: bool = True
-) -> EigenSolution:
-    """Bottom of the spectrum of S v = lam M v.
+def smallest_eigenvalues(pencil: TridiagonalPencil, count: int = 2) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of S v = lam M v, ascending.
 
     The pencil is reduced to a standard symmetric tridiagonal problem by
-    the mass similarity; eigenvalues come from bisection with
-    Sturm-sequence counts and eigenvectors from inverse iteration
-    (LAPACK stebz / stein).  A Neumann pencil has the constant function
-    in its kernel by construction, so its zero eigenvalue is deflated
-    exactly through the flux transform and reported as 0 with the
-    constant eigenvector; the remaining eigenvalues are computed from
-    the deflated matrix.
+    the mass similarity and solved by bisection with Sturm-sequence
+    counts (LAPACK stebz).  A Neumann pencil has the constant function in
+    its kernel by construction, so its zero eigenvalue is deflated exactly
+    through the flux transform and reported as 0.0; the remaining
+    eigenvalues are computed from the deflated matrix.
     """
     n = pencil.n
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-
     if pencil.bc == NEUMANN:
-        values = [0.0]
-        vectors = [_mass_normalize(pencil, np.ones(n))] if want_vectors else None
-        k = count - 1
-        if k > 0:
-            diag, off = _flux_tridiag(pencil)
-            if want_vectors:
-                w, y = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-                sqrt_c = np.sqrt(pencil.conductances)
-                for j in range(k):
-                    flux = sqrt_c * y[:, j]
-                    v = np.zeros(n)
-                    v[:-1] -= flux
-                    v[1:] += flux
-                    v /= pencil.mass * w[j]
-                    vectors.append(_mass_normalize(pencil, v))
-                values.extend(w.tolist())
-            else:
-                w = eigh_tridiagonal(
-                    diag, off, eigvals_only=True, select="i", select_range=(0, k - 1)
-                )
-                values.extend(w.tolist())
-        eigenvalues = np.array(values)
-    else:
-        diag, off = _symmetrized_tridiag(pencil)
-        if want_vectors:
-            w, y = eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-            inv_sqrt = 1.0 / np.sqrt(pencil.mass)
-            vectors = [_mass_normalize(pencil, inv_sqrt * y[:, j]) for j in range(count)]
-        else:
-            w = eigh_tridiagonal(
-                diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
-            )
-            vectors = None
-        eigenvalues = np.asarray(w, dtype=np.float64)
-
-    if want_vectors:
-        eigenvectors = np.column_stack(vectors)
-        residuals = np.array(
-            [_residual(pencil, eigenvalues[j], eigenvectors[:, j]) for j in range(count)]
+        if count == 1:
+            return np.array([0.0])
+        diag, off = _flux_tridiag(pencil)
+        w = eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(0, count - 2)
         )
-    else:
-        eigenvectors = None
-        residuals = np.full(count, np.nan)
-    return EigenSolution(
-        eigenvalues=eigenvalues, eigenvectors=eigenvectors, residual_norms=residuals
+        return np.concatenate(([0.0], w))
+    diag, off = _symmetrized_tridiag(pencil)
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
     )
 
 
@@ -317,8 +250,7 @@ def raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
     """
     pencil = discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc))
     count = 2 if bc == NEUMANN else 1
-    sol = smallest_eigenvalues(pencil, count=count, want_vectors=False)
-    return float(sol.eigenvalues[-1])
+    return float(smallest_eigenvalues(pencil, count=count)[-1])
 
 
 def neumann_lambda1(K: float, d: float, m: int = 2000) -> float:

@@ -168,6 +168,34 @@ def test_shrinker_sup_dominates(lam, K0):
     assert shrinker_diameter_bound_sup(inp) >= shrinker_diameter_bound(inp) - 1e-6
 
 
+def shrinker_sup_grid(inp, grid_size=10**5):
+    """Oracle: the largest s-family diameter bound on a uniform interior s-grid."""
+    s = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
+    K = inp.lam - inp.K0
+    return float((2.0 * math.pi * np.sqrt(s * (1.0 - s) / (2.0 * inp.lam - s * K))).max())
+
+
+@given(
+    lam=st.floats(min_value=1e-2, max_value=1e2, allow_nan=False),
+    K0=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
+)
+@settings(max_examples=100, deadline=None)
+def test_shrinker_sup_closed_form_vs_grid(lam, K0):
+    inp = ShrinkerBoundInput(lam=lam, K0=K0)
+    closed = shrinker_diameter_bound_sup(inp)
+    grid = shrinker_sup_grid(inp)
+    # a grid node within ~1e-8 of s* can round one ulp above the closed form
+    assert closed >= grid - 4.0 * np.finfo(float).eps * closed
+    assert closed - grid <= 1e-8 * closed
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 3.7, 100.0])
+def test_shrinker_sup_at_zero_curvature_is_the_soliton_bound(lam):
+    # K0 = 0 puts the maximizer at s* = 2 - sqrt(2), the soliton optimum
+    sup = shrinker_diameter_bound_sup(ShrinkerBoundInput(lam=lam, K0=0.0))
+    assert sup == pytest.approx(soliton_diameter_bounds(SolitonInput(lam)).sup_bound, rel=1e-14)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         BoundInput(K=0.0, d=0.0)

@@ -231,12 +231,18 @@ def test_spectral_builds_and_solves_once(capsys, monkeypatch, tmp_path):
 
 
 def test_suite_shares_the_round_sphere(monkeypatch, tiny_config):
-    calls = count_calls(monkeypatch, [cli, spectral], ["build_icosphere", "lambda1_witten"])
+    names = ["build_icosphere", "lambda1_witten", "graph_diameter"]
+    calls = count_calls(monkeypatch, [cli, spectral], names)
     assert len(cli.run_suite(config_from_sources(tiny_config, {}))) == 14
     # sphere-round and the four height cases share one mesh, the shift case
     # builds its own; one solve per circle, round sphere and height case,
-    # three for the shift case
-    assert calls == {"build_icosphere": 2, "lambda1_witten": 2 + 1 + 4 + 3}
+    # three for the shift case; the weights leave the round mesh's graph
+    # diameter unchanged, so it is measured once next to the two circles'
+    assert calls == {
+        "build_icosphere": 2,
+        "lambda1_witten": 2 + 1 + 4 + 3,
+        "graph_diameter": 2 + 1,
+    }
 
 
 def test_spectral_height_requires_a(capsys):
@@ -359,6 +365,23 @@ def test_verify_all_determinism_and_failure_report(capsys, tmp_path, tiny_config
     match, mismatch, errors = filecmp.cmpfiles(out1, out2, names, shallow=False)
     assert mismatch == [] and errors == []
     assert sorted(match) == names
+
+
+def test_verify_all_slack_column(capsys, tmp_path, tiny_config):
+    out = tmp_path / "reports"
+    rc, stdout, _ = run_cli(capsys, "verify-all", "--config", tiny_config, "--out", str(out))
+    # the reduced resolutions miss several certified tolerances
+    assert rc == 1
+    lines = stdout.splitlines()
+    rows = [line.split() for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert len(rows) == 14
+    assert all(len(row) == 4 and row[2] == "slack" for row in rows)
+    # slack = smallest margin + tolerance: negative exactly on the failing cases
+    assert all((row[0] == "PASS") == (float(row[3]) >= 0.0) for row in rows)
+    assert sum(row[0] == "PASS" for row in rows) == 9
+    assert lines[-1] == "9/14 cases passed"
+    names = {p.name for p in out.iterdir()}
+    assert names == {row[1] + ".json" for row in rows} | {"summary.json"}
 
 
 def test_verify_all_env_out_dir(capsys, tmp_path, monkeypatch, tiny_config):

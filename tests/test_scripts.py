@@ -5,12 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import TINY_CONFIG
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, returncode=0):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -21,7 +19,7 @@ def run_script(name, *args, returncode=0):
         text=True,
         timeout=300,
     )
-    assert proc.returncode == returncode, proc.stderr
+    assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -47,20 +45,3 @@ def test_rosette_study_csv(tmp_path):
     assert rows[0] == "p,q,r0,k_max,length,diameter_margin,mc_residual,eigen_residual"
     assert len(rows) == 2
     assert rows[1].startswith("2,3,0.3131804")
-
-
-def test_run_verify_all_slack_table(tmp_path):
-    config = tmp_path / "tiny.cfg"
-    config.write_text(TINY_CONFIG)
-    out = tmp_path / "reports"
-    # the reduced resolutions miss several certified tolerances
-    lines = run_script(
-        "run_verify_all.py", "--config", str(config), "--out", str(out), returncode=1
-    )
-    rows = [line.split() for line in lines if line.startswith(("PASS ", "FAIL "))]
-    assert len(rows) == 14
-    assert all(row[2] == "slack" for row in rows)
-    # slack = worst margin + tolerance: negative exactly on the failing cases
-    assert all((row[0] == "PASS") == (float(row[3]) >= 0.0) for row in rows)
-    assert lines[-1].startswith("9/14 cases passed")
-    assert len(list(out.iterdir())) == 14

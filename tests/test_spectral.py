@@ -119,15 +119,16 @@ def test_round_sphere_multiplicities_at_certified_resolution():
 
 
 def test_weighted_circle_frozen_and_dense_oracle():
-    def phi_fn(vertices):
-        return 0.3 * vertices[:, 0]
+    def weighted_circle(n):
+        base = build_weighted_circle(n)
+        return apply_weight(base, 0.3 * base.vertices[:, 0])
 
-    circle = build_weighted_circle(1000, phi_fn=phi_fn)
+    circle = weighted_circle(1000)
     res = lambda1_witten(circle)
     assert res.lambda1 == pytest.approx(WEIGHTED_CIRCLE_A03_LAMBDA1, abs=1e-9)
 
     # independent dense generalized eigensolve at a smaller resolution
-    small = build_weighted_circle(256, phi_fn=phi_fn)
+    small = weighted_circle(256)
     S = stiffness_matrix(small).toarray()
     M = np.diag(small.masses)
     dense = scipy.linalg.eigh(S, M, eigvals_only=True, subset_by_index=(0, 3))
@@ -266,13 +267,14 @@ def test_sphere_height_report():
     mesh = build_icosphere(3)
     weighted = apply_weight(mesh, 0.5 * mesh.vertices[:, 2])
     res = lambda1_witten(weighted)
-    rep = case_sphere_height(cfg, 0.5, weighted, res)
+    diameter = graph_diameter(weighted)
+    rep = case_sphere_height(cfg, 0.5, weighted, res, diameter)
     assert rep.case_id == "sphere-height-a=0.5"
     assert rep.passed
     assert set(rep.margins) == {"gap_vs_sup_closed"}
     assert rep.computed["lambda1"] > rep.bounds["sup_closed"]
     with pytest.raises(ValueError):
-        case_sphere_height(cfg, 1.0, weighted, res)
+        case_sphere_height(cfg, 1.0, weighted, res, diameter)
 
 
 def test_exports_roundtrip(tmp_path):

@@ -76,8 +76,8 @@ def test_dense_oracle_matches_sturm_solver(bc):
     S, M = _dense_matrices(pen)
     inv_sqrt = np.diag(1.0 / np.sqrt(np.diag(M)))
     dense = np.linalg.eigvalsh(inv_sqrt @ S @ inv_sqrt)
-    sol = smallest_eigenvalues(pen, count=4, want_vectors=False)
-    np.testing.assert_allclose(sol.eigenvalues, dense[:4], rtol=1e-10, atol=1e-10)
+    values = smallest_eigenvalues(pen, count=4)
+    np.testing.assert_allclose(values, dense[:4], rtol=1e-10, atol=1e-10)
 
 
 def test_full_spectrum_second_route_at_fine_mesh():
@@ -90,8 +90,7 @@ def test_full_spectrum_second_route_at_fine_mesh():
     w = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
     assert w[0] == pytest.approx(LAMBDA_RAW_K1_D2_M8001, abs=1e-9)
     # bisection and QR agree to cross-algorithm accuracy at n = 8000
-    sol = smallest_eigenvalues(pen, count=2, want_vectors=False)
-    assert sol.eigenvalues[1] == pytest.approx(w[0], abs=1e-7)
+    assert smallest_eigenvalues(pen, count=2)[1] == pytest.approx(w[0], abs=1e-7)
 
 
 def test_frozen_extrapolated_values():
@@ -137,28 +136,10 @@ def test_shift_identity_property(K, d):
 
 def test_neumann_zero_mode_is_structural():
     pen = discretize_ou(OUProblem(K=4.0, d=2.0, m=500, bc=NEUMANN))
-    sol = smallest_eigenvalues(pen, count=3)
-    assert sol.eigenvalues[0] == 0.0
+    values = smallest_eigenvalues(pen, count=3)
+    assert values[0] == 0.0
     # the deflated matrix keeps the rest of the spectrum away from zero
-    assert sol.eigenvalues[1] > 1e-3
-    # constant eigenvector, mass-normalized
-    v0 = sol.eigenvectors[:, 0]
-    assert np.allclose(v0, v0[0])
-    assert float(v0 @ (pen.mass * v0)) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_eigenvector_residuals_and_structure():
-    pen = discretize_ou(OUProblem(K=1.0, d=2.0, m=500, bc=NEUMANN))
-    sol = smallest_eigenvalues(pen, count=3)
-    assert (sol.residual_norms <= 1e-8).all()
-    # first nonzero mode is odd about the center
-    v1 = sol.eigenvectors[:, 1]
-    assert np.max(np.abs(v1 + v1[::-1])) <= 1e-10
-    pen_d = discretize_ou(OUProblem(K=1.0, d=2.0, m=500, bc=DIRICHLET))
-    sol_d = smallest_eigenvalues(pen_d, count=1)
-    v0 = sol_d.eigenvectors[:, 0]
-    # Dirichlet ground state has one sign
-    assert v0.min() * v0.max() > 0.0
+    assert values[1] > 1e-3
 
 
 def test_measure_underflow_guard():
