@@ -57,7 +57,6 @@ from wittengap.spectral import (
     apply_weight,
     build_icosphere,
     build_weighted_circle,
-    graph_diameter,
     lambda1_witten,
     witten_apply,
     write_eigenvector_csv,
@@ -106,7 +105,6 @@ __all__ = [
     "futaki_sano_bound",
     "gap_expression",
     "gaussian_soliton_check",
-    "graph_diameter",
     "k0_and_diameter",
     "lambda1_witten",
     "make_report",

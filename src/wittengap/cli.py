@@ -64,7 +64,6 @@ from wittengap.spectral import (
     apply_weight,
     build_icosphere,
     build_weighted_circle,
-    graph_diameter,
     lambda1_witten,
     write_eigenvector_csv,
     write_off,
@@ -419,25 +418,23 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
 
 
 def case_circle_spectrum(
-    radius: float, circle: WeightedComplex, res: SpectralResult, diameter: float
+    radius: float, circle: WeightedComplex, res: SpectralResult
 ) -> VerificationReport:
-    """Unweighted circle, solved by the caller into ``res`` and measured
-    into ``diameter``: lambda_1 must match 1/r^2, equivalently pi^2/d^2
-    with d = pi r half the circumference."""
+    """Unweighted circle, solved by the caller into ``res``: lambda_1 must
+    match 1/r^2, equivalently pi^2/d^2 with d = pi r half the
+    circumference."""
     target = 1.0 / radius**2
     rel_curv = abs(res.lambda1 - target) / target
     d_exact = math.pi * radius
     rel_flat = abs(res.lambda1 - math.pi**2 / d_exact**2) / (math.pi**2 / d_exact**2)
-    cluster_size = int(np.sum(res.eigenvalues <= 1.05 * res.lambda1))
     return make_report(
         case_id=f"circle-spectrum-r={radius:g}",
         inputs={"n": float(circle.n_vertices), "radius": radius, "K": 0.0, "d": d_exact},
         computed={
             "lambda1": res.lambda1,
             "residual": res.residual,
-            "cluster_size": float(cluster_size),
+            "cluster_size": float(res.cluster_size),
             "multiplicity_gap": float(res.multiplicity_gap),
-            "diameter_estimate": diameter,
         },
         bounds={"inverse_r2": target, "pi2_over_d2": math.pi**2 / d_exact**2},
         margins={"lambda1_vs_curvature": -rel_curv, "flat_interval_equality": -rel_flat},
@@ -450,47 +447,48 @@ def case_circle_spectrum(
 
 
 def case_sphere_round(
-    cfg: RunConfig, mesh: WeightedComplex, res: SpectralResult, diameter: float
+    cfg: RunConfig, mesh: WeightedComplex, res: SpectralResult
 ) -> VerificationReport:
     """Unweighted icosphere at ``cfg.sphere_subdivisions``, solved by the
-    caller into ``res`` and measured into ``diameter``: lambda_1 near 2
-    with a three-fold cluster."""
+    caller into ``res``: lambda_1 near 2 with a three-fold cluster."""
     rel = abs(res.lambda1 - 2.0) / 2.0
-    cluster_size = int(np.sum(res.eigenvalues <= 1.05 * res.lambda1))
     return make_report(
         case_id="sphere-round",
         inputs={"subdivisions": float(cfg.sphere_subdivisions), "n_vertices": float(mesh.n_vertices)},
         computed={
             "lambda1": res.lambda1,
             "residual": res.residual,
-            "cluster_size": float(cluster_size),
+            "cluster_size": float(res.cluster_size),
             "multiplicity_gap": float(res.multiplicity_gap),
-            "diameter_estimate": diameter,
         },
         bounds={"continuum_lambda1": 2.0, "continuum_multiplicity": 3.0},
         margins={
             "lambda1_vs_two": -rel,
-            "cluster_multiplicity": -abs(cluster_size - 3.0),
+            "cluster_multiplicity": -abs(res.cluster_size - 3.0),
         },
         tolerances={"lambda1_vs_two": TOL_SPHERE, "cluster_multiplicity": 0.0},
         notes=["first sphere eigenvalue is 2 with the three coordinate eigenfunctions"],
     )
 
 
+def _check_height_coefficient(a: float) -> None:
+    """The height weight phi = a z needs |a| < 1, so that K = 1 - |a| > 0."""
+    if not (math.isfinite(a) and abs(a) < 1.0):
+        raise ValueError(f"height coefficient a must satisfy |a| < 1, got {a!r}")
+
+
 def case_sphere_height(
-    cfg: RunConfig, a: float, weighted: WeightedComplex, res: SpectralResult, diameter: float
+    cfg: RunConfig, a: float, weighted: WeightedComplex, res: SpectralResult
 ) -> VerificationReport:
     """Certify the gap bound for the unit icosphere ``weighted`` by phi = a z,
-    solved by the caller into ``res`` and measured into ``diameter`` (the
-    weight changes neither vertices nor edges, so it is the round mesh's).
+    solved by the caller into ``res``.
 
     The Hessian of the height function z on the unit sphere is -z g, so
     Ric + Hess(a z) = (1 - a z) g >= (1 - |a|) g: curvature constant
     K = 1 - |a| with diameter pi.  The discrete lambda_1 must dominate the
     closed-form bound at that (K, pi), up to the mesh tolerance.
     """
-    if not (math.isfinite(a) and abs(a) < 1.0):
-        raise ValueError(f"height coefficient a must satisfy |a| < 1, got {a!r}")
+    _check_height_coefficient(a)
     K = 1.0 - abs(a)
     inp = BoundInput(K=K, d=math.pi)
     bound = sup_bound_closed(inp)
@@ -512,7 +510,6 @@ def case_sphere_height(
         notes=[
             "K = 1 - |a| from Hess(z) = -z g on the unit sphere; diameter pi is exact",
             f"icosphere with {weighted.n_vertices} vertices, cotangent weights",
-            f"graph diameter estimate {diameter:.6f}",
         ],
     )
 
@@ -665,25 +662,17 @@ def case_gaussian(cfg: RunConfig) -> VerificationReport:
 
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
     """All certification cases, sorted by case id.  Each complex is built
-    and solved once; the round icosphere also carries the height weights,
-    which leave its graph diameter unchanged, so that is measured once."""
+    and solved once; the round icosphere also carries the height weights."""
     reports = [case_closed_vs_grid(cfg), case_soliton_constants(cfg), case_comparison_grid(cfg)]
     # built after the s-grid cases: the icosphere build leaves heap behind
     # that raised the suite's peak RSS by 9 MB when it came first
     circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
     sphere = build_icosphere(cfg.sphere_subdivisions)
-    sphere_d = graph_diameter(sphere)
     heights = {a: apply_weight(sphere, a * sphere.vertices[:, 2]) for a in HEIGHT_COEFFICIENTS}
     reports += [
-        *[
-            case_circle_spectrum(r, c, lambda1_witten(c), graph_diameter(c))
-            for r, c in circles.items()
-        ],
-        case_sphere_round(cfg, sphere, lambda1_witten(sphere), sphere_d),
-        *[
-            case_sphere_height(cfg, a, w, lambda1_witten(w), sphere_d)
-            for a, w in heights.items()
-        ],
+        *[case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()],
+        case_sphere_round(cfg, sphere, lambda1_witten(sphere)),
+        *[case_sphere_height(cfg, a, w, lambda1_witten(w)) for a, w in heights.items()],
         case_weight_shift(cfg),
         case_circle_shrinker(cfg),
         case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
@@ -791,11 +780,12 @@ def cmd_spectral(args: argparse.Namespace) -> int:
         if args.a is None:
             print("error: --case sphere-height requires --a", file=sys.stderr)
             return 2
+        _check_height_coefficient(args.a)
         mesh = build_icosphere(cfg.sphere_subdivisions)
         comp = apply_weight(mesh, args.a * mesh.vertices[:, 2])
         case = functools.partial(case_sphere_height, cfg, args.a)
     res = lambda1_witten(comp)
-    rep = case(comp, res, graph_diameter(comp))
+    rep = case(comp, res)
     if args.export_off:
         write_off(comp, args.export_off)
     if args.export_eigenvector:

@@ -13,10 +13,8 @@ suite: uniform circles (second differences along arclength) and
 icospheres (cotangent edge weights with barycentric lumped mass).
 ``lambda1_witten`` computes the bottom of the nonzero spectrum with one
 sparse shift-invert Lanczos solve (ARPACK) of the generalized pencil,
-whatever the size of the complex.
-``graph_diameter`` estimates the intrinsic diameter from shortest paths
-with chord-length edges.  The module builds no reports: the certification
-cases that compare these values with the gap bound live in
+whatever the size of the complex.  The module builds no reports: the
+certification cases that compare these values with the gap bound live in
 ``wittengap.cli``.
 """
 
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .sturm import EXPONENT_GUARD, MeasureUnderflowError
@@ -42,7 +40,6 @@ __all__ = [
     "witten_apply",
     "stiffness_matrix",
     "lambda1_witten",
-    "graph_diameter",
     "write_off",
     "write_eigenvector_csv",
 ]
@@ -60,8 +57,6 @@ KRYLOV_DIM = 40
 # nonzero eigenvalues per solve, and ARPACK's relative accuracy
 N_EIGS = 6
 ARPACK_TOL = 1e-10
-# source vertices of the sampled graph diameter on complexes above 2000 vertices
-DIAMETER_SOURCES = 200
 
 
 class EigensolverConvergenceError(RuntimeError):
@@ -110,7 +105,9 @@ class WeightedComplex:
         return self.vertices.shape[0]
 
     def is_connected(self) -> bool:
-        adj = _adjacency(self, self.conductances)
+        n = self.n_vertices
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        adj = sparse.coo_matrix((self.conductances, (i, j)), shape=(n, n))
         return connected_components(adj, directed=False, return_labels=False) == 1
 
 
@@ -121,24 +118,17 @@ class SpectralResult:
     ``eigenvalues`` holds the first few nonzero eigenvalues in ascending
     order (``lambda1`` is its first entry), ``eigenvector`` the
     mass-normalized first eigenvector, ``residual`` its eigen-residual in
-    the mass pairing, ``multiplicity_gap`` the relative jump from the
-    lambda1 cluster to the next distinct level.
+    the mass pairing.  The lambda1 cluster is every returned eigenvalue
+    within 5 % of lambda1: ``cluster_size`` counts it and
+    ``multiplicity_gap`` is the relative jump from it to the next level.
     """
 
     lambda1: float
+    cluster_size: int
     multiplicity_gap: float
     eigenvector: np.ndarray
     residual: float
     eigenvalues: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def _adjacency(complex_: WeightedComplex, weights: np.ndarray) -> sparse.csr_matrix:
-    i, j = complex_.edges[:, 0], complex_.edges[:, 1]
-    n = complex_.n_vertices
-    return sparse.coo_matrix(
-        (np.concatenate([weights, weights]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    ).tocsr()
 
 
 def stiffness_matrix(complex_: WeightedComplex) -> sparse.csr_matrix:
@@ -249,26 +239,25 @@ _ICO_FACES = np.array(
 
 
 def _subdivide(vertices: np.ndarray, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One 4-to-1 refinement, new vertices projected back to the sphere."""
-    verts = list(map(tuple, vertices))
-    midpoint_cache: dict[tuple[int, int], int] = {}
+    """One 4-to-1 refinement, new vertices projected back to the sphere.
 
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint_cache.get(key)
-        if idx is None:
-            p = 0.5 * (vertices[a] + vertices[b])
-            p = p / np.linalg.norm(p)
-            idx = len(verts)
-            verts.append(tuple(p))
-            midpoint_cache[key] = idx
-        return idx
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.array(verts, dtype=np.float64), np.array(new_faces, dtype=np.int64)
+    Midpoints are numbered in the order the faces first meet their edges,
+    (a, b), (b, c), (c, a) per face.
+    """
+    n = vertices.shape[0]
+    ends = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    key = ends.min(axis=1) * n + ends.max(axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)
+    a, b = ends[first[order]].T
+    p = 0.5 * (vertices[a] + vertices[b])
+    # a row-wise matmul rounds |p| as the 1-D norm does; norm(p, axis=1) can be one ulp off
+    p = p / np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+    ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+    a, b, c = faces.T
+    new_faces = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
+    return np.concatenate([vertices, p]), new_faces
 
 
 def build_icosphere(subdivisions: int) -> WeightedComplex:
@@ -390,38 +379,12 @@ def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralRe
 
     return SpectralResult(
         lambda1=lam1,
+        cluster_size=int(np.count_nonzero(cluster)),
         multiplicity_gap=multiplicity_gap,
         eigenvector=v,
         residual=residual,
         eigenvalues=eigenvalues,
     )
-
-
-def graph_diameter(complex_: WeightedComplex) -> float:
-    """Shortest-path diameter with ambient chord lengths as edge lengths.
-
-    All-pairs for complexes up to 2000 vertices; beyond, the max runs
-    over ``DIAMETER_SOURCES`` farthest-point-sampled source vertices starting
-    from vertex 0, which is deterministic.
-    """
-    i, j = complex_.edges[:, 0], complex_.edges[:, 1]
-    lengths = np.linalg.norm(complex_.vertices[i] - complex_.vertices[j], axis=1)
-    adj = _adjacency(complex_, lengths)
-    n = complex_.n_vertices
-    if not complex_.is_connected():
-        raise ValueError("diameter of a disconnected complex is infinite")
-    if n <= 2000:
-        dist = dijkstra(adj, directed=False)
-        return float(dist.max())
-    best = 0.0
-    dist_to_set = np.full(n, np.inf)
-    source = 0
-    for _ in range(min(DIAMETER_SOURCES, n)):
-        dist = dijkstra(adj, directed=False, indices=source)
-        best = max(best, float(dist.max()))
-        dist_to_set = np.minimum(dist_to_set, dist)
-        source = int(np.argmax(dist_to_set))
-    return best
 
 
 def write_off(complex_: WeightedComplex, path) -> None:

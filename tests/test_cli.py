@@ -231,24 +231,28 @@ def test_spectral_builds_and_solves_once(capsys, monkeypatch, tmp_path):
 
 
 def test_suite_shares_the_round_sphere(monkeypatch, tiny_config):
-    names = ["build_icosphere", "lambda1_witten", "graph_diameter"]
+    names = ["build_icosphere", "lambda1_witten"]
     calls = count_calls(monkeypatch, [cli, spectral], names)
     assert len(cli.run_suite(config_from_sources(tiny_config, {}))) == 14
     # sphere-round and the four height cases share one mesh, the shift case
     # builds its own; one solve per circle, round sphere and height case,
-    # three for the shift case; the weights leave the round mesh's graph
-    # diameter unchanged, so it is measured once next to the two circles'
-    assert calls == {
-        "build_icosphere": 2,
-        "lambda1_witten": 2 + 1 + 4 + 3,
-        "graph_diameter": 2 + 1,
-    }
+    # three for the shift case
+    assert calls == {"build_icosphere": 2, "lambda1_witten": 2 + 1 + 4 + 3}
 
 
 def test_spectral_height_requires_a(capsys):
     rc, _, err = run_cli(capsys, "spectral", "--case", "sphere-height")
     assert rc == 2
     assert "requires --a" in err
+
+
+def test_spectral_rejects_bad_a_before_building(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, [cli, spectral], ["build_icosphere"])
+    rc, out, err = run_cli(capsys, "spectral", "--case", "sphere-height", "--a", "1.0")
+    assert rc == 1
+    assert out == ""
+    assert "height coefficient a must satisfy |a| < 1" in err
+    assert calls == {"build_icosphere": 0}
 
 
 def test_shrinker_circle_scales_with_lambda(capsys):
