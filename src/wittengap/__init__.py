@@ -47,7 +47,6 @@ from wittengap.shrinkers import (
     k0_and_diameter,
     mean_curvature_identity_residual,
     potential_phi,
-    verify_shrinker_diameter,
     write_curve_csv,
 )
 from wittengap.spectral import (
@@ -121,7 +120,6 @@ __all__ = [
     "sup_bound_closed",
     "sup_bound_grid",
     "verify_comparison",
-    "verify_shrinker_diameter",
     "witten_apply",
     "write_curve_csv",
     "write_eigenvector_csv",

@@ -13,15 +13,15 @@ Subcommands
 Reports carry ``schema: 1`` and serialize with sorted keys and no
 timestamps, so identical configurations produce byte-identical output.
 Exit codes: 0 when every margin passes, 1 for a failed case or internal
-error, 2 for invalid flags.  A flat ``key = value`` config file sets
-resolutions that explicit flags override (tolerances are constants); the
-WITTEN_GAP_OUT environment variable names the default output directory.
+error, 2 for invalid flags.  ``verify-all`` always runs the certified
+``RunConfig()`` and takes only ``--out``, its report directory (default
+``reports``).  The single-case subcommands take resolution flags, and each
+report records its resolution in ``inputs``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -33,10 +33,13 @@ import numpy as np
 
 from wittengap.bounds import (
     BoundInput,
+    ShrinkerBoundInput,
     SolitonInput,
     andrews_ni_bound,
     futaki_sano_bound,
     gap_expression,
+    shrinker_diameter_bound,
+    shrinker_diameter_bound_sup,
     soliton_diameter_bounds,
     soliton_optimal_s,
     sup_bound_branch,
@@ -55,7 +58,6 @@ from wittengap.shrinkers import (
     k0_and_diameter,
     mean_curvature_identity_residual,
     potential_phi,
-    verify_shrinker_diameter,
     write_curve_csv,
 )
 from wittengap.spectral import (
@@ -80,8 +82,6 @@ from wittengap.sturm import (
 
 __all__ = [
     "RunConfig",
-    "parse_config_file",
-    "config_from_sources",
     "sweep_closed_vs_grid",
     "case_closed_vs_grid",
     "case_soliton_constants",
@@ -127,13 +127,15 @@ TOL_MC_IDENTITY = 1e-4
 TOL_EIGEN_IDENTITY = 5e-3
 TOL_CONSTANTS = 1e-12
 TOL_FD_RESIDUAL = 1e-6
+TOL_SHRINKER_DIAMETER = 1e-9
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Deterministic run parameters: the certified resolutions as defaults,
-    and ``out_dir``.  Lower resolutions turn cases red; tolerances, the
-    (K, d) box and the Gaussian model are module constants."""
+    """The certified resolutions.  ``verify-all`` always runs the defaults;
+    the single-case subcommands lower some of them by flag, and a lower
+    resolution turns cases red.  Tolerances, the (K, d) box and the
+    Gaussian model are module constants."""
 
     # counts of the closed-form vs grid sweep
     n_k: int = 50
@@ -147,7 +149,6 @@ class RunConfig:
     shift_subdivisions: int = 3
     rosette_points: int = 4096
     gaussian_samples: int = 64
-    out_dir: str = ""
 
     def __post_init__(self) -> None:
         if min(self.n_k, self.n_d) < 1:
@@ -164,40 +165,6 @@ class RunConfig:
             raise ValueError("rosette_points must be >= 64")
         if self.gaussian_samples < 1:
             raise ValueError("gaussian_samples must be >= 1")
-
-
-def parse_config_file(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` file; ``#`` starts a comment."""
-    values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
-
-
-def config_from_sources(
-    config_path: str | None, overrides: dict[str, object] | None = None
-) -> RunConfig:
-    """Defaults, then config-file values, then explicit (non-None) overrides."""
-    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
-    kwargs: dict[str, object] = {}
-    if config_path:
-        for key, raw in parse_config_file(config_path).items():
-            if key not in fields:
-                raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = int(raw) if isinstance(fields[key], int) else raw
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            if key not in fields:
-                raise ValueError(f"unknown config override {key!r}")
-            kwargs[key] = value
-    return RunConfig(**kwargs)
 
 
 def _dumps(obj: dict) -> str:
@@ -547,9 +514,10 @@ def case_weight_shift(cfg: RunConfig) -> VerificationReport:
     )
 
 
-def case_circle_shrinker(cfg: RunConfig, lam: float = 1.0) -> VerificationReport:
-    """Circle self-shrinker: exact radius, pointwise residual, trivial weight."""
-    curve = circle_shrinker(lam, cfg.circle_n)
+def case_circle_shrinker(curve: ShrinkerCurve) -> VerificationReport:
+    """Circle self-shrinker from ``circle_shrinker``: exact radius, pointwise
+    residual, trivial weight."""
+    lam = curve.lam
     r_exact = 1.0 / math.sqrt(lam)
     radius_defect = float(np.abs(curve.radii - r_exact).max())
     residual = curve.residual()
@@ -557,7 +525,7 @@ def case_circle_shrinker(cfg: RunConfig, lam: float = 1.0) -> VerificationReport
     kd = k0_and_diameter(curve)
     return make_report(
         case_id="shrinker-circle",
-        inputs={"lam": lam, "n_points": float(cfg.circle_n)},
+        inputs={"lam": lam, "n_points": float(curve.n_points)},
         computed={
             "radius_defect": radius_defect,
             "residual": residual,
@@ -581,7 +549,9 @@ def case_circle_shrinker(cfg: RunConfig, lam: float = 1.0) -> VerificationReport
 def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
     """Rosette from ``find_abresch_langer``: closure, conserved quantity,
     curvature and eigenfunction identities with a refinement trend against
-    a coarse curve assembled from the same arc, and the diameter bound."""
+    a coarse curve assembled from the same arc, and the diameter bounds:
+    d >= pi / sqrt(3 lam / 2 + K0 / 2) and its supremum over the
+    interpolation parameter, with K0 = max k^2 and d half the length."""
     lam, p, q = curve.lam, curve.rotation_p, curve.petals_q
     coarse = assemble_rosette(curve.arc, max(cfg.rosette_points // 4, 64))
     res_fine = eigen_identity_residual(curve)
@@ -590,8 +560,10 @@ def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
     fi = first_integral(lam, curve.points, curve.curvatures)
     drift = float((fi.max() - fi.min()) / np.abs(fi).max())
     mc = mean_curvature_identity_residual(curve)
-    diam = verify_shrinker_diameter(curve)
     kd = k0_and_diameter(curve)
+    bound_inp = ShrinkerBoundInput(lam=lam, K0=kd.K0)
+    bound_half = shrinker_diameter_bound(bound_inp)
+    bound_sup = shrinker_diameter_bound_sup(bound_inp)
     return make_report(
         case_id=f"shrinker-rosette-{p}-{q}",
         inputs={"lam": lam, "p": float(p), "q": float(q), "n_points": float(curve.n_points)},
@@ -609,7 +581,7 @@ def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
             "eigen_identity_coarse": res_coarse,
             "refinement_ratio": ratio,
         },
-        bounds=dict(diam.bounds),
+        bounds={"bound_half": bound_half, "bound_sup": bound_sup},
         margins={
             "closure": -curve.closure_residual,
             "first_integral": -drift,
@@ -617,8 +589,8 @@ def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
             "eigen_identity": -res_fine,
             "refinement_ratio_low": ratio - 8.0,
             "refinement_ratio_high": 32.0 - ratio,
-            "d_vs_bound_half": diam.margins["d_vs_bound_half"],
-            "d_vs_bound_sup": diam.margins["d_vs_bound_sup"],
+            "d_vs_bound_half": kd.d - bound_half,
+            "d_vs_bound_sup": kd.d - bound_sup,
         },
         tolerances={
             "closure": TOL_ROSETTE_CLOSURE,
@@ -627,13 +599,15 @@ def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
             "eigen_identity": TOL_EIGEN_IDENTITY,
             "refinement_ratio_low": 0.0,
             "refinement_ratio_high": 0.0,
-            "d_vs_bound_half": diam.tolerances["d_vs_bound_half"],
-            "d_vs_bound_sup": diam.tolerances["d_vs_bound_sup"],
+            "d_vs_bound_half": TOL_SHRINKER_DIAMETER,
+            "d_vs_bound_sup": TOL_SHRINKER_DIAMETER,
         },
         notes=[
             "refinement ratio compares eigen-identity residuals at quarter and full node counts;"
             " second order predicts 16",
-            *diam.notes,
+            "orientation: T = (cos th, sin th), N = (sin th, -cos th), k = dth/ds; "
+            "the circle solution has k = lam |x| > 0",
+            f"curve residual {curve.residual():.3e}",
         ],
     )
 
@@ -674,7 +648,7 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
         case_sphere_round(cfg, sphere, lambda1_witten(sphere)),
         *[case_sphere_height(cfg, a, w, lambda1_witten(w)) for a, w in heights.items()],
         case_weight_shift(cfg),
-        case_circle_shrinker(cfg),
+        case_circle_shrinker(circle_shrinker(1.0, cfg.circle_n)),
         case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
         case_gaussian(cfg),
     ]
@@ -685,20 +659,8 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
 # subcommands
 
 
-def _resolve_out_dir(cfg: RunConfig, flag_value: str | None) -> str:
-    if flag_value:
-        return flag_value
-    if cfg.out_dir:
-        return cfg.out_dir
-    return os.environ.get("WITTEN_GAP_OUT", "reports")
-
-
-def _overrides(args: argparse.Namespace, mapping: dict[str, str]) -> dict[str, object]:
-    return {field: getattr(args, attr) for attr, field in mapping.items()}
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(args.config, _overrides(args, {"grid_size": "sup_grid_size"}))
+    cfg = RunConfig(sup_grid_size=args.grid_size)
     if args.grid:
         rows = sweep_closed_vs_grid(cfg)
         _emit(format_sweep_csv(rows), args.out)
@@ -743,7 +705,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_ou(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(args.config, _overrides(args, {"m": "ou_m"}))
+    cfg = RunConfig(ou_m=args.m)
     if args.K is None or args.d is None:
         print("error: ou needs --K and --d", file=sys.stderr)
         return 2
@@ -766,10 +728,7 @@ def cmd_ou(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(
-        args.config,
-        _overrides(args, {"n": "circle_n", "subdivisions": "sphere_subdivisions"}),
-    )
+    cfg = RunConfig(circle_n=args.n, sphere_subdivisions=args.subdivisions)
     if args.case == "circle":
         comp = build_weighted_circle(cfg.circle_n, radius=args.radius)
         case = functools.partial(case_circle_spectrum, args.radius)
@@ -795,9 +754,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def cmd_shrinker(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(
-        args.config, _overrides(args, {"n": "circle_n", "points": "rosette_points"})
-    )
+    cfg = RunConfig(circle_n=args.n, rosette_points=args.points)
     if args.gaussian:
         rep = case_gaussian(cfg)
         _emit(rep.to_json(), args.out)
@@ -816,9 +773,10 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
         _emit(rep.to_json(), args.out)
         return 0 if rep.passed else 1
     if args.circle:
-        rep = case_circle_shrinker(cfg, lam=args.lam)
+        curve = circle_shrinker(args.lam, cfg.circle_n)
+        rep = case_circle_shrinker(curve)
         if args.export:
-            write_curve_csv(circle_shrinker(args.lam, cfg.circle_n), args.export)
+            write_curve_csv(curve, args.export)
         _emit(rep.to_json(), args.out)
         return 0 if rep.passed else 1
     print("error: shrinker needs one of --circle, --al P Q, --gaussian", file=sys.stderr)
@@ -826,12 +784,10 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
-    cfg = config_from_sources(args.config, {})
-    out_dir = _resolve_out_dir(cfg, args.out)
-    os.makedirs(out_dir, exist_ok=True)
-    reports = run_suite(cfg)
+    os.makedirs(args.out, exist_ok=True)
+    reports = run_suite(RunConfig())
     for rep in reports:
-        with open(os.path.join(out_dir, rep.case_id + ".json"), "w") as fh:
+        with open(os.path.join(args.out, rep.case_id + ".json"), "w") as fh:
             fh.write(rep.to_json())
         slack = min(rep.margins[k] + rep.tolerances[k] for k in rep.margins)
         print(f"{'PASS' if rep.passed else 'FAIL'} {rep.case_id} slack {slack:+.3e}")
@@ -843,7 +799,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         "n_pass": n_pass,
         "all_pass": n_pass == len(reports),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    with open(os.path.join(args.out, "summary.json"), "w") as fh:
         fh.write(_dumps(summary))
     print(f"{n_pass}/{len(reports)} cases passed")
     if n_pass != len(reports):
@@ -861,7 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat 'key = value' config file")
     common.add_argument("--out", help="output file (default: stdout)")
 
     p_bounds = sub.add_parser("bounds", parents=[common], help="gap and diameter bounds")
@@ -870,13 +825,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--grid", action="store_true", help="CSV sweep closed vs grid")
     p_bounds.add_argument("--soliton", action="store_true", help="soliton diameter bounds")
     p_bounds.add_argument("--lambda", dest="lam", type=float, help="soliton constant")
-    p_bounds.add_argument("--grid-size", dest="grid_size", type=int, help="s-grid size")
+    p_bounds.add_argument(
+        "--grid-size", dest="grid_size", type=int, default=RunConfig.sup_grid_size,
+        help="s-grid size",
+    )
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_ou = sub.add_parser("ou", parents=[common], help="interval comparison operator")
     p_ou.add_argument("--K", type=float, help="drift coefficient")
     p_ou.add_argument("--d", type=float, help="interval length")
-    p_ou.add_argument("--m", type=int, help="cell count before extrapolation")
+    p_ou.add_argument(
+        "--m", type=int, default=RunConfig.ou_m, help="cell count before extrapolation"
+    )
     p_ou.add_argument("--bc", choices=("neumann", "dirichlet", "both"), default="both")
     p_ou.add_argument("--check-shift", dest="check_shift", action="store_true")
     p_ou.add_argument("--verify", action="store_true", help="certify the gap bound")
@@ -884,10 +844,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectral", parents=[common], help="weighted complex spectra")
     p_spec.add_argument("--case", choices=("circle", "sphere", "sphere-height"), required=True)
-    p_spec.add_argument("--n", type=int, help="circle vertex count")
+    p_spec.add_argument("--n", type=int, default=RunConfig.circle_n, help="circle vertex count")
     p_spec.add_argument("--radius", type=float, default=1.0)
     p_spec.add_argument("--a", type=float, help="height weight coefficient")
-    p_spec.add_argument("--subdivisions", type=int, help="icosphere subdivisions")
+    p_spec.add_argument(
+        "--subdivisions", type=int, default=RunConfig.sphere_subdivisions,
+        help="icosphere subdivisions",
+    )
     p_spec.add_argument("--export-off", dest="export_off", help="write the complex as OFF")
     p_spec.add_argument(
         "--export-eigenvector", dest="export_eigenvector", help="write the eigenvector as CSV"
@@ -899,13 +862,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_shr.add_argument("--al", nargs=2, type=int, metavar=("P", "Q"))
     p_shr.add_argument("--gaussian", action="store_true")
     p_shr.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_shr.add_argument("--n", type=int, help="circle point count")
-    p_shr.add_argument("--points", type=int, help="rosette node count")
+    p_shr.add_argument("--n", type=int, default=RunConfig.circle_n, help="circle point count")
+    p_shr.add_argument(
+        "--points", type=int, default=RunConfig.rosette_points, help="rosette node count"
+    )
     p_shr.add_argument("--export", help="write the curve as CSV")
     p_shr.add_argument("--log", help="write the shooting log as JSONL")
     p_shr.set_defaults(func=cmd_shrinker)
 
-    p_all = sub.add_parser("verify-all", parents=[common], help="full certification suite")
+    p_all = sub.add_parser("verify-all", help="full certification suite")
+    p_all.add_argument("--out", default="reports", help="report directory (default: reports)")
     p_all.set_defaults(func=cmd_verify_all)
 
     return parser

@@ -22,10 +22,10 @@ joins 2q reflected copies of that arc at any node count.  With
 
 Every closed curve carries the potential phi = lam |x|^2 / 2 - 1/2,
 which the drift Laplacian of the induced weighted ring complex maps to
--2 lam phi; ``eigen_identity_residual`` checks that identity and
-``verify_shrinker_diameter`` certifies the diameter lower bound
-d >= pi / sqrt(3 lam / 2 + K0 / 2) with K0 the maximum squared
-curvature.
+-2 lam phi; ``eigen_identity_residual`` checks that identity, and
+``k0_and_diameter`` gives the maximum squared curvature K0 and the
+intrinsic diameter d that enter the diameter lower bound
+d >= pi / sqrt(3 lam / 2 + K0 / 2).
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    ShrinkerBoundInput,
-    shrinker_diameter_bound,
-    shrinker_diameter_bound_sup,
-)
-from .report import VerificationReport, make_report
 from .spectral import WeightedComplex, apply_weight, witten_apply
 
 __all__ = [
@@ -58,7 +52,6 @@ __all__ = [
     "mean_curvature_identity_residual",
     "eigen_identity_residual",
     "k0_and_diameter",
-    "verify_shrinker_diameter",
     "gaussian_soliton_check",
     "write_curve_csv",
 ]
@@ -90,7 +83,6 @@ class ShrinkerCurve:
     h: float
     rotation_p: int = 0
     petals_q: int = 0
-    label: str = ""
     closure_residual: float = math.nan
     arc: FundamentalArc | None = None
 
@@ -125,11 +117,6 @@ class ShrinkerCurve:
         xN = (self.points * self.normals()).sum(axis=1)
         return float(np.abs(self.curvatures - self.lam * xN).max())
 
-    def is_circular(self, rtol: float = 1e-8) -> bool:
-        k = self.curvatures
-        scale = float(np.abs(k).max())
-        return scale > 0.0 and float(k.max() - k.min()) <= rtol * scale
-
 
 @dataclass(frozen=True)
 class FundamentalArc:
@@ -150,11 +137,10 @@ class FundamentalArc:
 
 @dataclass(frozen=True)
 class CurvatureDiameter:
-    """Curvature ceiling K0 = max k^2, intrinsic diameter d, and K = lam - K0."""
+    """Curvature ceiling K0 = max k^2 and intrinsic diameter d."""
 
     K0: float
     d: float
-    K: float
 
 
 @dataclass
@@ -190,7 +176,6 @@ def circle_shrinker(lam: float, n_points: int) -> ShrinkerCurve:
         h=2.0 * math.pi * r / n_points,
         rotation_p=0,
         petals_q=0,
-        label=f"circle-lam={lam:g}",
         closure_residual=0.0,
     )
 
@@ -415,7 +400,6 @@ def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
         h=arc.length / J,
         rotation_p=arc.p,
         petals_q=q,
-        label=f"rosette-{arc.p}-{q}-lam={lam:g}",
         closure_residual=closure,
         arc=arc,
     )
@@ -449,7 +433,6 @@ def curve_complex(curve: ShrinkerCurve) -> WeightedComplex:
         conductances=np.full(n, 1.0 / curve.h),
         masses=np.full(n, curve.h),
         phi=np.zeros(n),
-        label=f"curve-{curve.label}",
     )
     return apply_weight(base, potential_phi(curve))
 
@@ -482,48 +465,8 @@ def eigen_identity_residual(curve: ShrinkerCurve) -> float:
 
 
 def k0_and_diameter(curve: ShrinkerCurve) -> CurvatureDiameter:
-    """K0 = max k^2, intrinsic diameter d = length/2, and K = lam - K0."""
-    K0 = float((curve.curvatures**2).max())
-    return CurvatureDiameter(K0=K0, d=0.5 * curve.length, K=curve.lam - K0)
-
-
-_CONVENTION_NOTE = (
-    "orientation: T = (cos th, sin th), N = (sin th, -cos th), k = dth/ds; "
-    "the circle solution has k = lam |x| > 0"
-)
-
-
-def verify_shrinker_diameter(curve: ShrinkerCurve) -> VerificationReport:
-    """Certify d >= pi / sqrt(3 lam / 2 + K0 / 2) on a closed shrinker.
-
-    Also certifies the sharper bound obtained by maximizing the
-    two-sided gap inequality over the interpolation parameter; genuine
-    shrinkers satisfy both.  The circle is the excluded trivial case (its
-    potential vanishes identically) and raises ``ValueError``.
-    """
-    if curve.is_circular():
-        raise ValueError("circle has phi = 0, so the diameter certificate is vacuous")
-    notes = [_CONVENTION_NOTE]
-    kd = k0_and_diameter(curve)
-    inp = ShrinkerBoundInput(lam=curve.lam, K0=kd.K0)
-    bound_half = shrinker_diameter_bound(inp)
-    bound_sup = shrinker_diameter_bound_sup(inp)
-    notes.append(f"curve residual {curve.residual():.3e}")
-    return make_report(
-        case_id=f"shrinker-diameter-{curve.label}",
-        inputs={"lam": curve.lam, "n_points": float(curve.n_points)},
-        computed={
-            "K0": kd.K0,
-            "K": kd.K,
-            "d": kd.d,
-            "length": curve.length,
-            "closure_residual": curve.closure_residual,
-        },
-        bounds={"bound_half": bound_half, "bound_sup": bound_sup},
-        margins={"d_vs_bound_half": kd.d - bound_half, "d_vs_bound_sup": kd.d - bound_sup},
-        tolerances={"d_vs_bound_half": 1e-9, "d_vs_bound_sup": 1e-9},
-        notes=notes,
-    )
+    """K0 = max k^2 and intrinsic diameter d = length/2."""
+    return CurvatureDiameter(K0=float((curve.curvatures**2).max()), d=0.5 * curve.length)
 
 
 def gaussian_soliton_check(n: int, lam: float, sample_points: np.ndarray) -> SolitonPointCheck:

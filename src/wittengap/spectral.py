@@ -78,7 +78,6 @@ class WeightedComplex:
     conductances: np.ndarray
     masses: np.ndarray
     phi: np.ndarray
-    label: str = ""
     faces: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -213,7 +212,6 @@ def build_weighted_circle(n: int, radius: float = 1.0) -> WeightedComplex:
         conductances=np.full(n, 1.0 / h),
         masses=np.full(n, h),
         phi=np.zeros(n),
-        label=f"circle-n={n}-r={radius:g}",
     )
 
 
@@ -306,7 +304,6 @@ def build_icosphere(subdivisions: int) -> WeightedComplex:
         conductances=conductances,
         masses=masses,
         phi=np.zeros(n),
-        label=f"icosphere-sub={subdivisions}",
         faces=faces,
     )
 

@@ -1,38 +1,48 @@
-"""Command-line interface: output values, config handling, determinism, exit codes."""
+"""Command-line interface: output values, settings, determinism, exit codes."""
 
 import filecmp
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 import wittengap.cli as cli
 import wittengap.shrinkers as shrinkers
 import wittengap.spectral as spectral
-from wittengap.cli import RunConfig, config_from_sources, main, parse_config_file
+from wittengap.cli import RunConfig, build_parser, main, run_suite
 
 # reduced resolutions: fast and deterministic, deliberately below several
 # certified tolerances so the failure path is exercised too
-TINY_CONFIG = """\
-# fast suite for CLI tests
-n_k = 6
-n_d = 5
-sup_grid_size = 20000
-constant_grid_size = 5000
-ou_m = 100
-circle_n = 64          # coarse enough to miss the 1e-4 circle tolerance
-sphere_subdivisions = 2
-shift_subdivisions = 1
-rosette_points = 256
-gaussian_samples = 8
-"""
+TINY = RunConfig(
+    n_k=6,
+    n_d=5,
+    sup_grid_size=20000,
+    constant_grid_size=5000,
+    ou_m=100,
+    circle_n=64,  # coarse enough to miss the 1e-4 circle tolerance
+    sphere_subdivisions=2,
+    shift_subdivisions=1,
+    rosette_points=256,
+    gaussian_samples=8,
+)
 
 
 @pytest.fixture()
-def tiny_config(tmp_path):
-    path = tmp_path / "tiny.cfg"
-    path.write_text(TINY_CONFIG)
-    return str(path)
+def tiny_suite(monkeypatch):
+    """Makes verify-all run the suite at TINY.
+
+    Returns the configs verify-all passed to ``run_suite``, one per run.
+    """
+    asked = []
+
+    def reduced(cfg):
+        asked.append(cfg)
+        return run_suite(TINY)
+
+    monkeypatch.setattr(cli, "run_suite", reduced)
+    return asked
 
 
 def run_cli(capsys, *argv):
@@ -67,39 +77,18 @@ def test_run_config_validation():
         RunConfig(sup_grid_size=10)
 
 
-def test_parse_config_file(tmp_path):
-    path = tmp_path / "a.cfg"
-    path.write_text("# comment only\nou_m = 500\n\ncircle_n=128  # inline\n")
-    assert parse_config_file(str(path)) == {"ou_m": "500", "circle_n": "128"}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("ou_m 500\n")
-    with pytest.raises(ValueError):
-        parse_config_file(str(bad))
-
-
-def test_config_sources_precedence(tmp_path):
-    path = tmp_path / "a.cfg"
-    path.write_text("ou_m = 500\ncircle_n = 128\n")
-    cfg = config_from_sources(str(path), {"ou_m": 250, "sphere_subdivisions": None})
-    assert cfg.ou_m == 250  # flag beats file
-    assert cfg.circle_n == 128  # file beats default
-    assert cfg.sphere_subdivisions == 5  # None override is ignored
-    path.write_text("no_such_key = 1\n")
-    with pytest.raises(ValueError):
-        config_from_sources(str(path), {})
-
-
 @pytest.mark.parametrize("line", ["tol_circle_rel = 1", "k_min = 0"])
 @pytest.mark.parametrize(
     "argv", [("verify-all",), ("spectral", "--case", "circle", "--n", "64")], ids=lambda a: a[0]
 )
-def test_config_cannot_set_certified_constants(capsys, tmp_path, line, argv):
-    # tolerances and the (K, d) box are part of the certification, not settings
+def test_config_cannot_set_certified_constants(tmp_path, line, argv):
+    # tolerances, the (K, d) box and the verify-all resolutions are part of
+    # the certification: no config file is read, so --config is a bad flag
     path = tmp_path / "loose.cfg"
     path.write_text(line + "\n")
-    rc, _, err = run_cli(capsys, *argv, "--config", str(path), "--out", str(tmp_path / "out"))
-    assert rc == 1
-    assert "unknown config key" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -125,12 +114,12 @@ def test_bounds_soliton_json(capsys):
     assert obj["futaki_sano_is_smallest"] is True
 
 
-def test_bounds_grid_csv(capsys, tiny_config):
-    rc, out, _ = run_cli(capsys, "bounds", "--grid", "--config", tiny_config)
+def test_bounds_grid_csv(capsys):
+    rc, out, _ = run_cli(capsys, "bounds", "--grid", "--grid-size", "20000")
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "K,d,sup_closed,sup_grid,abs_diff"
-    assert len(lines) == 1 + 6 * 5
+    assert len(lines) == 1 + 50 * 50
     # the boundary branches miss by O(K / grid_size), so the coarse test
     # grid sits near 5e-4; the certified 1e-6 needs the full 10^6 grid
     worst = max(float(line.split(",")[4]) for line in lines[1:])
@@ -230,10 +219,10 @@ def test_spectral_builds_and_solves_once(capsys, monkeypatch, tmp_path):
     assert calls == {"build_icosphere": 1, "lambda1_witten": 1}
 
 
-def test_suite_shares_the_round_sphere(monkeypatch, tiny_config):
+def test_suite_shares_the_round_sphere(monkeypatch):
     names = ["build_icosphere", "lambda1_witten"]
     calls = count_calls(monkeypatch, [cli, spectral], names)
-    assert len(cli.run_suite(config_from_sources(tiny_config, {}))) == 14
+    assert len(run_suite(TINY)) == 14
     # sphere-round and the four height cases share one mesh, the shift case
     # builds its own; one solve per circle, round sphere and height case,
     # three for the shift case
@@ -262,6 +251,15 @@ def test_shrinker_circle_scales_with_lambda(capsys):
     assert obj["pass"] is True
     assert obj["computed"]["K0"] == pytest.approx(4.0, abs=1e-12)
     assert obj["computed"]["d"] == pytest.approx(math.pi / 2.0, rel=1e-12)
+
+
+def test_shrinker_circle_export_builds_the_circle_once(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, [cli, shrinkers], ["circle_shrinker"])
+    curve_csv = tmp_path / "circle.csv"
+    rc, _, _ = run_cli(capsys, "shrinker", "--circle", "--n", "64", "--export", str(curve_csv))
+    assert rc == 0
+    assert curve_csv.read_text().startswith("# closure_residual = 0\n")
+    assert calls == {"circle_shrinker": 1}
 
 
 def test_shrinker_rosette_exports(capsys, tmp_path):
@@ -338,16 +336,18 @@ def test_bad_flags_exit_two():
 
 
 def test_internal_error_exits_one(capsys):
-    # a config file value that fails RunConfig validation
+    # a resolution flag below its RunConfig minimum fails validation
     rc, _, err = run_cli(capsys, "ou", "--K", "1", "--d", "2", "--m", "4")
     assert rc == 1
     assert "error:" in err
 
 
-def test_verify_all_determinism_and_failure_report(capsys, tmp_path, tiny_config):
+def test_verify_all_determinism_and_failure_report(capsys, tmp_path, tiny_suite):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
-    rc1, stdout1, err1 = run_cli(capsys, "verify-all", "--config", tiny_config, "--out", out1)
-    rc2, stdout2, _ = run_cli(capsys, "verify-all", "--config", tiny_config, "--out", out2)
+    rc1, stdout1, err1 = run_cli(capsys, "verify-all", "--out", out1)
+    rc2, stdout2, _ = run_cli(capsys, "verify-all", "--out", out2)
+    # verify-all asks for the certified resolutions, always
+    assert tiny_suite == [RunConfig(), RunConfig()]
     assert rc1 == rc2 == 1
     assert stdout1 == stdout2
     # the coarse s-grid fails first in case-id order
@@ -371,9 +371,9 @@ def test_verify_all_determinism_and_failure_report(capsys, tmp_path, tiny_config
     assert sorted(match) == names
 
 
-def test_verify_all_slack_column(capsys, tmp_path, tiny_config):
+def test_verify_all_slack_column(capsys, tmp_path, tiny_suite):
     out = tmp_path / "reports"
-    rc, stdout, _ = run_cli(capsys, "verify-all", "--config", tiny_config, "--out", str(out))
+    rc, stdout, _ = run_cli(capsys, "verify-all", "--out", str(out))
     # the reduced resolutions miss several certified tolerances
     assert rc == 1
     lines = stdout.splitlines()
@@ -388,10 +388,36 @@ def test_verify_all_slack_column(capsys, tmp_path, tiny_config):
     assert names == {row[1] + ".json" for row in rows} | {"summary.json"}
 
 
-def test_verify_all_env_out_dir(capsys, tmp_path, monkeypatch, tiny_config):
-    target = tmp_path / "from-env"
-    monkeypatch.setenv("WITTEN_GAP_OUT", str(target))
-    rc, stdout, _ = run_cli(capsys, "verify-all", "--config", tiny_config)
+def test_verify_all_env_out_dir(capsys, tmp_path, monkeypatch, tiny_suite):
+    # --out is the only way to move the reports; the environment is not read
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("WITTEN_GAP_OUT", str(tmp_path / "from-env"))
+    rc, stdout, _ = run_cli(capsys, "verify-all")
     assert rc == 1
-    assert (target / "summary.json").exists()
+    assert tiny_suite == [RunConfig()]
+    assert (tmp_path / "reports" / "summary.json").exists()
+    assert not (tmp_path / "from-env").exists()
     assert "cases passed" in stdout
+
+
+def readme_commands():
+    """Argument lists of the ``wittengap ...`` lines in the README's
+    "Command line" block, without the command name and comments."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("wittengap ")
+    ]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 9
+    assert {argv[0] for argv in commands} == {"bounds", "ou", "spectral", "shrinker", "verify-all"}
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: wittengap {shlex.join(argv)}")

