@@ -15,8 +15,10 @@ timestamps, so identical configurations produce byte-identical output.
 Exit codes: 0 when every margin passes, 1 for a failed case or internal
 error, 2 for invalid flags.  ``verify-all`` always runs the certified
 ``RunConfig()`` and takes only ``--out``, its report directory (default
-``reports``).  The single-case subcommands take resolution flags, and each
-report records its resolution in ``inputs``.
+``reports``); it refuses a directory holding a ``*.json`` that the
+directory's ``summary.json`` does not list.  The single-case subcommands
+take resolution flags, and each report records its resolution in
+``inputs``.
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ HEIGHT_COEFFICIENTS = (0.0, 0.3, 0.5, 0.9)
 # (K, d) box of the closed-form vs grid sweep
 K_RANGE = (-10.0, 10.0)
 D_RANGE = (0.1, 20.0)
+# points per block of the soliton-constant grid maximum
+CONSTANT_BLOCK = 2**15
 # the flat-space model soliton: dimension, constant, sample seed
 GAUSSIAN_DIM = 3
 GAUSSIAN_LAM = 0.7
@@ -274,11 +278,15 @@ def case_soliton_constants(cfg: RunConfig) -> VerificationReport:
     c_fixed = 10.0 / 13.0
     opt = soliton_optimal_s()
     n = cfg.constant_grid_size
-    s = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
-    g = 4.0 * s * (1.0 - s) / (2.0 - s)
-    j = int(np.argmax(g))
-    g_max_grid = float(g[j])
-    s_star_grid = float(s[j])
+    # the first grid maximum, a block at a time: whole-grid temporaries
+    # (16 MB each at the default size) set the suite's peak RSS
+    g_max_grid, s_star_grid = -math.inf, 0.0
+    for lo in range(0, n, CONSTANT_BLOCK):
+        s = np.arange(lo + 1, min(lo + CONSTANT_BLOCK, n) + 1, dtype=np.float64) / (n + 1)
+        g = 4.0 * s * (1.0 - s) / (2.0 - s)
+        j = int(np.argmax(g))
+        if g[j] > g_max_grid:
+            g_max_grid, s_star_grid = float(g[j]), float(s[j])
     bounds1 = soliton_diameter_bounds(SolitonInput(lam=1.0))
     return make_report(
         case_id="soliton-constants",
@@ -783,7 +791,30 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
     return 2
 
 
+def _stray_reports(out_dir: str) -> list[str]:
+    """The ``*.json`` files in ``out_dir`` that are neither its ``summary.json``
+    nor a report that summary lists; a rerun would leave them beside it."""
+    if not os.path.isdir(out_dir):
+        return []
+    names = os.listdir(out_dir)
+    listed = {"summary.json"}
+    if "summary.json" in names:
+        path = os.path.join(out_dir, "summary.json")
+        try:
+            with open(path) as fh:
+                listed |= {c["case_id"] + ".json" for c in json.load(fh)["cases"]}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path} is not a verify-all summary: {exc!r}") from None
+    return sorted(n for n in names if n.endswith(".json") and n not in listed)
+
+
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    stray = _stray_reports(args.out)
+    if stray:
+        raise ValueError(
+            f"stale reports in {args.out} that its summary.json does not list: "
+            f"{', '.join(stray)}; remove them or choose another --out"
+        )
     os.makedirs(args.out, exist_ok=True)
     reports = run_suite(RunConfig())
     for rep in reports:

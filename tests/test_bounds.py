@@ -1,6 +1,7 @@
 """Closed-form gap bounds against the grid oracle and family members."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,54 @@ def test_grid_oracle_spot_checks():
         closed = sup_bound_closed(inp)
         grid = sup_bound_grid(inp, 10**6)
         assert abs(closed - grid) <= 1e-6 * max(1.0, abs(closed))
+
+
+def dense_grid_sup(K, d, grid_size):
+    """Reference oracle: the whole grid at once, the expression written out."""
+    s = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
+    return max(0.0, float((4.0 * s * (1.0 - s) * math.pi**2 / d**2 + s * K).max()))
+
+
+BIT_IDENTITY_POINTS = [
+    (-10.0, 10.0),  # zero-limit branch
+    (1.0, math.pi),  # interior branch
+    (10.0, 10.0),  # curvature-limit branch
+    (-FOUR_PI_SQ / 4.0, 2.0),  # K d^2 = -4 pi^2
+    (FOUR_PI_SQ / 4.0, 2.0),  # K d^2 = +4 pi^2
+    (-FOUR_PI_SQ / 400.0, 20.0),  # the same crossovers at the ends of the d range
+    (FOUR_PI_SQ / 0.01, 0.1),
+    (-10.0, 0.1),  # corners of the criterion-01 box
+    (-10.0, 20.0),
+    (10.0, 0.1),
+    (10.0, 20.0),
+]
+
+
+@pytest.mark.parametrize("grid_size", [1, 100, 2**15 - 1, 2**15, 2**15 + 1, 10**6])
+def test_grid_oracle_is_bit_identical_to_the_dense_maximum(grid_size):
+    # the blocked oracle forms each value as the one-shot expression does
+    for K, d in BIT_IDENTITY_POINTS:
+        assert sup_bound_grid(BoundInput(K=K, d=d), grid_size) == dense_grid_sup(K, d, grid_size)
+
+
+def test_gap_expression_matches_the_written_out_formula():
+    s = np.arange(1, 1001, dtype=np.float64) / 1001
+    for K, d in BIT_IDENTITY_POINTS:
+        ref = 4.0 * s * (1.0 - s) * math.pi**2 / d**2 + s * K
+        assert np.array_equal(gap_expression(s, K, d), ref)
+
+
+def test_grid_oracle_allocates_no_full_grid_per_call():
+    inp = BoundInput(K=1.0, d=math.pi)
+    sup_bound_grid(inp, 10**6)  # builds the cached grid
+    tracemalloc.start()
+    try:
+        sup_bound_grid(inp, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 10^6-point float64 temporary alone would be 8 MB
+    assert peak < 2**20
 
 
 @given(K=ks, d=ds, s=ss)
@@ -207,3 +256,10 @@ def test_input_validation():
         ShrinkerBoundInput(lam=-1.0, K0=1.0)
     with pytest.raises(ValueError):
         sup_bound_grid(BoundInput(K=0.0, d=1.0), 0)
+
+
+@pytest.mark.parametrize("d", [1e-200, 1e-160, 1e200])
+def test_diameter_whose_square_leaves_the_float_range_is_rejected(d):
+    # d**2 underflows to 0, pi^2 / d^2 overflows to inf, d**2 overflows
+    with pytest.raises(ValueError, match="diameter d out of range"):
+        BoundInput(K=1.0, d=d)

@@ -6,6 +6,7 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wittengap.cli as cli
@@ -90,6 +91,17 @@ def test_config_cannot_set_certified_constants(tmp_path, line, argv):
         main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
     assert excinfo.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [100, 2**15, 2**15 + 1, 2_000_000])
+def test_soliton_constant_grid_maximum_is_the_whole_grid_argmax(n):
+    # the blocked maximum finds the first maximizer of the whole-grid array
+    s = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
+    g = 4.0 * s * (1.0 - s) / (2.0 - s)
+    j = int(np.argmax(g))
+    rep = cli.case_soliton_constants(RunConfig(constant_grid_size=n))
+    assert rep.computed["g_max_grid"] == float(g[j])
+    assert rep.computed["s_star_grid"] == float(s[j])
 
 
 def test_bounds_json(capsys):
@@ -398,6 +410,42 @@ def test_verify_all_env_out_dir(capsys, tmp_path, monkeypatch, tiny_suite):
     assert (tmp_path / "reports" / "summary.json").exists()
     assert not (tmp_path / "from-env").exists()
     assert "cases passed" in stdout
+
+
+def test_verify_all_refuses_a_directory_with_stale_reports(capsys, tmp_path, tiny_suite):
+    out = tmp_path / "reports"
+    # a rerun into the same directory is fine: its summary lists every report
+    assert run_cli(capsys, "verify-all", "--out", str(out))[0] == 1
+    assert run_cli(capsys, "verify-all", "--out", str(out))[0] == 1
+    assert len(tiny_suite) == 2
+    # a report no summary lists is refused before anything is computed
+    (out / "old-case.json").write_text('{"pass": false}\n')
+    (out / "older-case.json").write_text('{"pass": false}\n')
+    rc, stdout, err = run_cli(capsys, "verify-all", "--out", str(out))
+    assert rc == 1
+    assert len(tiny_suite) == 2
+    assert stdout == ""
+    assert "error: stale reports" in err and "old-case.json, older-case.json" in err
+    assert (out / "old-case.json").exists() and (out / "older-case.json").exists()
+    # the same without any summary
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "old-case.json").write_text("{}\n")
+    (bare / "notes.txt").write_text("kept\n")
+    rc, _, err = run_cli(capsys, "verify-all", "--out", str(bare))
+    assert rc == 1 and "old-case.json" in err and "notes.txt" not in err
+    (bare / "summary.json").write_text("[]\n")
+    rc, _, err = run_cli(capsys, "verify-all", "--out", str(bare))
+    assert rc == 1 and "is not a verify-all summary" in err
+    assert len(tiny_suite) == 2
+
+
+@pytest.mark.parametrize("d", ["1e-200", "1e-160", "1e200"])
+def test_bounds_rejects_a_diameter_out_of_float_range(capsys, d):
+    rc, out, err = run_cli(capsys, "bounds", "--K", "1", "--d", d)
+    assert rc == 1
+    assert out == ""
+    assert "error: diameter d out of range" in err
 
 
 def readme_commands():
