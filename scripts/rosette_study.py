@@ -2,7 +2,7 @@
 """Survey closed rosette curves over the admissible (p, q) range.
 
 For every coprime pair with 1/2 < p/q < sqrt(2)/2 and q up to --max-q,
-shoot for the closed curve and tabulate its geometry against the diameter
+find the closed curve and tabulate its geometry against the diameter
 bounds.  With --csv the table is also written as comma-separated rows."""
 
 import argparse
@@ -42,7 +42,7 @@ def main() -> int:
         try:
             curve = find_abresch_langer(args.lam, p, q, n_points=args.points)
         except (ValueError, RuntimeError) as exc:
-            print(f"{p}/{q}: shooting failed: {exc}", file=sys.stderr)
+            print(f"{p}/{q}: no closed curve: {exc}", file=sys.stderr)
             continue
         dt = time.perf_counter() - t0
         kd = k0_and_diameter(curve)

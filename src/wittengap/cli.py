@@ -48,7 +48,7 @@ from wittengap.bounds import (
     sup_bound_closed,
     sup_bound_grid,
 )
-from wittengap.report import SCHEMA_VERSION, VerificationReport, make_report
+from wittengap.report import SCHEMA_VERSION, VerificationReport, canonical_json, make_report
 from wittengap.shrinkers import (
     ShrinkerCurve,
     assemble_rosette,
@@ -169,10 +169,6 @@ class RunConfig:
             raise ValueError("rosette_points must be >= 64")
         if self.gaussian_samples < 1:
             raise ValueError("gaussian_samples must be >= 1")
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -687,7 +683,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             "sup_is_largest": sdb.sup_bound >= max(sdb.futaki_sano, sdb.andrews_ni),
             "futaki_sano_is_smallest": sdb.futaki_sano <= min(sdb.sup_bound, sdb.andrews_ni),
         }
-        _emit(_dumps(obj), args.out)
+        _emit(canonical_json(obj), args.out)
         return 0
     if args.K is None or args.d is None:
         print("error: bounds needs --K and --d, or --grid, or --soliton", file=sys.stderr)
@@ -708,7 +704,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "sup_ge_futaki_sano": sup_bound_closed(inp) >= futaki_sano_bound(inp),
         "sup_ge_andrews_ni": sup_bound_closed(inp) >= andrews_ni_bound(inp),
     }
-    _emit(_dumps(obj), args.out)
+    _emit(canonical_json(obj), args.out)
     return 0
 
 
@@ -731,7 +727,7 @@ def cmd_ou(args: argparse.Namespace) -> int:
         lam_n, lam_d = obj["lambda_neumann"], obj["lambda_dirichlet"]
         obj["shift_defect"] = abs(lam_n - args.K - lam_d)
         obj["shift_defect_rel"] = abs(lam_n - args.K - lam_d) / max(1.0, abs(lam_n))
-    _emit(_dumps(obj), args.out)
+    _emit(canonical_json(obj), args.out)
     return 0
 
 
@@ -831,7 +827,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
         "all_pass": n_pass == len(reports),
     }
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        fh.write(_dumps(summary))
+        fh.write(canonical_json(summary))
     print(f"{n_pass}/{len(reports)} cases passed")
     if n_pass != len(reports):
         first_fail = next(r.case_id for r in reports if not r.passed)
@@ -898,7 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--points", type=int, default=RunConfig.rosette_points, help="rosette node count"
     )
     p_shr.add_argument("--export", help="write the curve as CSV")
-    p_shr.add_argument("--log", help="write the shooting log as JSONL")
+    p_shr.add_argument(
+        "--log", help="write the root-finding log as JSONL, one line per Brent evaluation"
+    )
     p_shr.set_defaults(func=cmd_shrinker)
 
     p_all = sub.add_parser("verify-all", help="full certification suite")

@@ -49,13 +49,19 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        # allow_nan=False: a NaN anywhere in a report is a bug, fail loudly
-        # rather than emit non-standard JSON.
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return canonical_json(self.to_dict())
 
     def __repr__(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.case_id}"
+
+
+def canonical_json(obj: dict) -> str:
+    """The one JSON form of every report and summary: sorted keys, two-space
+    indent, a trailing newline."""
+    # allow_nan=False: a NaN anywhere in a report is a bug, fail loudly
+    # rather than emit non-standard JSON.
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def make_report(

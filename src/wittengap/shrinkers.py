@@ -1,4 +1,4 @@
-"""Closed planar self-shrinkers of curve shortening flow, by shooting.
+"""Closed planar self-shrinkers of curve shortening flow.
 
 A closed plane curve is a self-shrinker with constant lam > 0 when its
 curvature satisfies k = lam <x, N> pointwise.  Orientation convention,
@@ -12,13 +12,16 @@ position vector's normal part.
 
 Beyond the circle, the closed solutions are the classical rosette curves
 indexed by coprime (p, q) with 1/2 < p/q < sqrt(2)/2: the tangent winds
-p times while the curvature oscillates q times.  ``find_abresch_langer``
-shoots once, by Brent's method (Brent, *Algorithms for Minimization
-without Derivatives*, 1973), for the initial radius of a fundamental arc
-that meets its symmetry line orthogonally; ``assemble_rosette`` then
-joins 2q reflected copies of that arc at any node count.  With
-``circle_shrinker`` these are the only constructors, so every
-``ShrinkerCurve`` is closed.
+p times while the curvature oscillates q times.  Following Abresch &
+Langer, "The normalized curve shortening flow and homothetic solutions",
+J. Diff. Geom. 23 (1986), ``find_abresch_langer`` parametrizes by the
+tangent angle: the support function P = sqrt(lam) <x, N> solves
+P'' + P = 1/P, and closure is a condition on its half-period, one
+quadrature per trial, solved by Brent's method (Brent, *Algorithms for
+Minimization without Derivatives*, 1973).  ``assemble_rosette`` then
+integrates the fundamental arc once by RK4 and joins 2q reflected copies
+of it at any node count.  With ``circle_shrinker`` these are the only
+constructors, so every ``ShrinkerCurve`` is closed.
 
 Every closed curve carries the potential phi = lam |x|^2 / 2 - 1/2,
 which the drift Laplacian of the induced weighted ring complex maps to
@@ -30,7 +33,6 @@ d >= pi / sqrt(3 lam / 2 + K0 / 2).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +59,10 @@ __all__ = [
 ]
 
 FD_STEP = 1e-4
-MAX_STEPS = 20_000_000
-# starting bracket for the rosette's initial radius, in units of 1/sqrt(lam)
-R0_BRACKET = (0.5, 1.0)
+# Gauss-Legendre nodes of the half-period quadratures, and the bracket of
+# the inner turning point sqrt(lam) r0 that holds every root with q <= 15
+_QUAD_NODES = 128
+_TURNING_BRACKET = (1e-6, 0.99)
 # largest closure residual an assembled rosette may have
 TOL_CLOSURE = 1e-8
 
@@ -120,11 +123,12 @@ class ShrinkerCurve:
 
 @dataclass(frozen=True)
 class FundamentalArc:
-    """Converged fundamental arc of the (p, q) rosette.
+    """Fundamental arc of the (p, q) rosette, from its half-period quadrature.
 
-    Starts at x = (r0, 0) with the tangent straight up and has arclength
-    ``length`` when its tangent has advanced by pi p / q;
-    ``radial_velocity`` is <x, T> there, zero for an exact rosette.
+    Starts at the inner turning point x = (r0, 0) with the tangent
+    straight up and ends, after arclength ``length``, at the outer
+    turning point, where the tangent has advanced by pi p / q and meets
+    the ray through x at a right angle (Abresch & Langer 1986).
     """
 
     lam: float
@@ -132,7 +136,6 @@ class FundamentalArc:
     q: int
     r0: float
     length: float
-    radial_velocity: float
 
 
 @dataclass(frozen=True)
@@ -197,49 +200,27 @@ def _rk4_step(lam, x1, x2, th, h):
     )
 
 
-def _integrate(lam: float, r0: float, h: float, span: float | None, n_steps: int | None):
-    """RK4 states from x = (r0, 0), th = pi/2.
+def _integrate(lam: float, r0: float, h: float, n_steps: int):
+    """``n_steps`` RK4 steps of size h from x = (r0, 0), th = pi/2.
 
-    Either runs exactly ``n_steps`` fixed steps, or (span mode) steps
-    until the tangent angle has advanced by ``span`` and then lands on
-    the target with a few Newton-corrected partial steps.  Returns
-    (xs1, xs2, ths, final_step).  The curvature resolution guard fails
-    the run rather than produce an under-resolved arc.
+    Returns the states (xs1, xs2, ths).  The curvature resolution guard
+    fails the run rather than produce an under-resolved arc.
     """
     x1, x2, th = r0, 0.0, 0.5 * math.pi
     xs1, xs2, ths = [x1], [x2], [th]
     k_cap = 1.0 / (10.0 * h)
-    target = 0.5 * math.pi + span if span is not None else math.inf
-    count = n_steps if n_steps is not None else MAX_STEPS
-    final_step = None
-    for step in range(count):
+    for _ in range(n_steps):
         k_here = lam * (x1 * math.sin(th) - x2 * math.cos(th))
         if abs(k_here) > k_cap:
             raise RuntimeError(
                 f"curvature {k_here:.3g} exceeds resolution guard 1/(10 h) = {k_cap:.3g}; "
                 "reduce the step"
             )
-        n1, n2, nth = _rk4_step(lam, x1, x2, th, h)
-        if span is not None and nth >= target:
-            # land exactly on the stopping angle: Newton in the step size
-            for _ in range(4):
-                k_now = lam * (x1 * math.sin(th) - x2 * math.cos(th))
-                if k_now <= 0.0:
-                    raise RuntimeError("tangent angle stopped advancing before the target")
-                delta = (target - th) / k_now
-                x1, x2, th = _rk4_step(lam, x1, x2, th, delta)
-            final_step = math.hypot(x1 - xs1[-1], x2 - xs2[-1])
-            xs1.append(x1)
-            xs2.append(x2)
-            ths.append(th)
-            return xs1, xs2, ths, final_step
-        x1, x2, th = n1, n2, nth
+        x1, x2, th = _rk4_step(lam, x1, x2, th, h)
         xs1.append(x1)
         xs2.append(x2)
         ths.append(th)
-    if span is not None:
-        raise RuntimeError(f"no angle advance of {span:g} within {MAX_STEPS} steps")
-    return xs1, xs2, ths, final_step
+    return xs1, xs2, ths
 
 
 def _curvature_of(lam: float, xs1, xs2, ths) -> np.ndarray:
@@ -253,15 +234,47 @@ def first_integral(lam: float, points: np.ndarray, curvatures: np.ndarray) -> np
     return np.asarray(curvatures) * np.exp(-0.5 * lam * r2)
 
 
-def _closure_functional(lam: float, r0: float, psi: float, h: float) -> tuple[float, float]:
-    """Radial velocity <x, T> and arclength where the tangent has advanced by psi.
+def _angle_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on v in (0, pi/2) for P = a + (b - a) sin^2 v.
 
-    The velocity vanishes exactly when the arc meets the ray through its
-    endpoint at a right angle, the dihedral-symmetry closure condition.
+    Returns sin^2 v and cos^2 v at the nodes, and the weights times
+    sin 2v = (dP/dv) / (b - a).
     """
-    xs1, xs2, ths, final_step = _integrate(lam, r0, h, psi, None)
-    velocity = xs1[-1] * math.cos(ths[-1]) + xs2[-1] * math.sin(ths[-1])
-    return velocity, (len(xs1) - 2) * h + final_step
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    v = 0.25 * math.pi * (t + 1.0)
+    return np.sin(v) ** 2, np.cos(v) ** 2, 0.25 * math.pi * w * np.sin(2.0 * v)
+
+
+def _half_period(a: float, rule) -> tuple[float, float]:
+    """Tangent-angle advance and arclength at lam = 1 between the turning
+    points a < 1 < b of P'' + P = 1/P.
+
+    P is sqrt(lam) <x, N> as a function of the tangent angle (Abresch &
+    Langer 1986).  It conserves P'^2 / 2 + V(P), V(P) = P^2/2 - ln P,
+    which is the first integral k exp(-lam |x|^2 / 2) written in P, as
+    |x|^2 = <x, N>^2 + <x, T>^2.  With V(b) = V(a), the advance is the
+    integral over [a, b] of dP / sqrt(2 (V(a) - V(P))), and since k = P
+    at lam = 1, the arclength is the same integral of
+    dP / (P sqrt(2 (V(a) - V(P)))).  The substitution of ``_angle_rule``
+    removes both inverse square-root endpoint singularities, and
+    V(a) - V(P) is formed from the nearer turning point, so neither end
+    cancels.
+    """
+    from scipy.optimize import brentq
+
+    def gap_from_a(rise):  # 2 (V(a) - V(a + rise))
+        return 2.0 * np.log1p(rise / a) - rise * (2.0 * a + rise)
+
+    # V'' >= 1 puts b below 1 + sqrt(2 (V(a) - V(1))) < 1 + sqrt(2 V(a))
+    b_max = 1.0 + math.sqrt(a * a - 2.0 * math.log(a))
+    b = brentq(lambda P: gap_from_a(P - a), 1.0, b_max, xtol=1e-15)
+    sin2, cos2, weights = rule
+    rise, fall = (b - a) * sin2, (b - a) * cos2  # P = a + rise = b - fall
+    near_a = sin2 <= 0.5
+    gap_from_b = 2.0 * np.log1p(-fall / b) + fall * (2.0 * b - fall)
+    gap = np.where(near_a, gap_from_a(rise), gap_from_b)
+    dtheta = (b - a) * weights / np.sqrt(gap)
+    return float(dtheta.sum()), float((dtheta / np.where(near_a, a + rise, b - fall)).sum())
 
 
 def find_abresch_langer(
@@ -269,16 +282,20 @@ def find_abresch_langer(
 ) -> ShrinkerCurve:
     """Closed rosette with rotation number p and q curvature oscillations.
 
-    Brent's method (``scipy.optimize.brentq``) on the initial radius r0
-    of the fundamental arc: the arc runs from its minimum-radius point
-    until the tangent has advanced by pi p / q, and closure requires the
-    radial velocity there to vanish.  The circle (r0 = 1/sqrt(lam)) is
-    itself a root of the closure functional, so the bracket's upper end
-    is nudged off it when needed.  The curve is assembled by
-    ``assemble_rosette`` and keeps the arc in ``curve.arc``, so another
-    node count needs no second shooting.
+    Abresch & Langer (1986): in the tangent angle, the fundamental arc
+    runs between the turning points a < 1 < b of P = sqrt(lam) <x, N>,
+    and the rosette closes when that half-period equals pi p / q.  The
+    half-period rises monotonically from pi/2 (a -> 0) to pi/sqrt(2)
+    (a -> 1), so Brent's method (``scipy.optimize.brentq``) finds its
+    single root in a fixed bracket of a by quadrature alone; r0 is
+    a / sqrt(lam), and the arclength comes from the same quadrature.
+    ``assemble_rosette`` integrates the arc once and checks its closure
+    independently; the curve keeps the arc in ``curve.arc``, so another
+    node count needs no second root-find.
 
-    ``log``, when given, collects one dict per Brent evaluation.
+    ``log``, when given, collects one dict per Brent evaluation: the
+    ``iteration``, the trial ``r0`` and the ``closure_residual``, which
+    is the half-period minus pi p / q.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
@@ -289,75 +306,47 @@ def find_abresch_langer(
         )
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam!r}")
-    r_circle = 1.0 / math.sqrt(lam)
-    psi = math.pi * p / q
-
-    # shots are cached by (r0, step): brentq evaluates the repaired bracket
-    # ends again, and its root is one of its own evaluations
-    shoot = functools.cache(lambda r, h: _closure_functional(lam, r, psi, h))
-
-    lo, hi = R0_BRACKET[0] * r_circle, R0_BRACKET[1] * r_circle
-    h_shoot = 1e-3 * lo
-    g_lo = shoot(lo, h_shoot)[0]
-    g_hi = shoot(hi, h_shoot)[0]
-    # the circle is a degenerate root of the closure functional
-    nudges = 0
-    while abs(g_hi) < 1e-9 * r_circle and nudges < 8:
-        hi -= 0.05 * (hi - lo)
-        g_hi = shoot(hi, h_shoot)[0]
-        nudges += 1
-    # Near the circle the radial velocity at advance psi is positive for
-    # every admissible p/q: the small-amplitude half-period advance is
-    # pi/sqrt(2) > psi, and it decreases toward pi/2 with depth.  So a
-    # same-sign bracket is repaired by sending the deep end further in
-    # (until the advance drops below psi) or the shallow end back toward
-    # the circle.
-    expansions = 0
-    while g_lo * g_hi >= 0.0 and expansions < 16:
-        if g_lo > 0.0:
-            lo *= 0.6
-            h_shoot = 1e-3 * lo
-            g_lo = shoot(lo, h_shoot)[0]
-        else:
-            hi = r_circle - 0.3 * (r_circle - hi)
-            g_hi = shoot(hi, h_shoot)[0]
-        expansions += 1
-    if g_lo * g_hi >= 0.0:
-        raise ValueError(
-            f"closure functional has the same sign at both bracket ends "
-            f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e})"
-        )
 
     from scipy.optimize import brentq  # 16 MB and 0.3 s to import; only rosettes need it
 
-    # brentq evaluates both ends again, so the whole search shares h_shoot
+    root_lam = math.sqrt(lam)
+    psi = math.pi * p / q
+    rule = _angle_rule(_QUAD_NODES)
     log = [] if log is None else log
     start = len(log)
 
-    def closure(r: float) -> float:
-        g = shoot(r, h_shoot)[0]
-        log.append({"iteration": len(log) - start, "r0": r, "closure_residual": g})
+    def closure(a: float) -> float:
+        g = _half_period(a, rule)[0] - psi
+        log.append({"iteration": len(log) - start, "r0": a / root_lam, "closure_residual": g})
         return g
 
-    r0 = brentq(closure, lo, hi, xtol=1e-14 * r_circle)
-    radial_velocity, length = shoot(r0, h_shoot)
-    return assemble_rosette(FundamentalArc(lam, p, q, r0, length, radial_velocity), n_points)
+    try:
+        a = brentq(closure, *_TURNING_BRACKET, xtol=1e-14)
+    except ValueError:
+        raise ValueError(
+            f"closure functional has the same sign at both bracket ends: ({p}, {q}) "
+            f"needs sqrt(lam) r0 outside {_TURNING_BRACKET}"
+        ) from None
+    length = _half_period(a, rule)[1]
+    return assemble_rosette(FundamentalArc(lam, p, q, a / root_lam, length / root_lam), n_points)
 
 
 def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
     """Closed rosette of about ``n_points`` nodes from its fundamental arc.
 
-    The arc is integrated again at J = n_points / (2 q) uniform nodes and
-    the closed curve is 2q alternately reflected copies of it.  Raises
-    when the closure residual (worst joint gap, or the arc's end radial
-    velocity) exceeds ``TOL_CLOSURE``.
+    The arc is integrated by RK4 and sampled at J = n_points / (2 q)
+    uniform nodes, and the closed curve is 2q alternately reflected
+    copies of it.  Raises when the closure residual exceeds
+    ``TOL_CLOSURE``: the worst joint gap, or the radial velocity <x, T>
+    at the end of the integrated arc, which vanishes where the arc meets
+    its symmetry line at a right angle.
     """
     lam, r0, q = arc.lam, arc.r0, arc.q
     psi = math.pi * arc.p / q
     J = max(int(round(n_points / (2 * q))), 16)
     oversample = max(4, math.ceil((arc.length / J) / (1e-3 * r0)))
     h_fine = arc.length / (J * oversample)
-    xs1, xs2, ths, _ = _integrate(lam, r0, h_fine, None, J * oversample)
+    xs1, xs2, ths = _integrate(lam, r0, h_fine, J * oversample)
     X = np.column_stack([xs1, xs2])[::oversample]
     TH = np.asarray(ths)[::oversample]
     KK = _curvature_of(lam, xs1, xs2, ths)[::oversample]
@@ -387,7 +376,8 @@ def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
     points = np.concatenate(pts)
     angles = np.concatenate(angs)
     curvatures = np.concatenate(curv)
-    closure = max(max(joint_gaps), abs(arc.radial_velocity))
+    end_velocity = xs1[-1] * math.cos(ths[-1]) + xs2[-1] * math.sin(ths[-1])
+    closure = max(max(joint_gaps), abs(end_velocity))
     if closure > TOL_CLOSURE:
         raise RuntimeError(
             f"assembled closure residual {closure:.3e} exceeds {TOL_CLOSURE:.1e}"

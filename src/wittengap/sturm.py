@@ -129,8 +129,17 @@ class TridiagonalPencil:
         return self.diag.shape[0]
 
 
-def _weight(K: float, x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * K * x * x)
+def _weight(K: float, d: float, x: np.ndarray) -> np.ndarray:
+    """exp(-K x^2 / 2) on [-d/2, d/2], times the power of two 2^j that
+    centres its range: it spans about e^{-E/2}..e^{E/2}, E = |K| d^2 / 8.
+
+    Uncentred, the weight spans 1..e^{+-E}, and either the conductances
+    w/h or the inverse masses 1/(w h) leave the float range as E nears
+    ``EXPONENT_GUARD``.  The spectrum is invariant under the constant
+    factor, and an even power of two changes no bit of the pencil's
+    sums, products, quotients and square roots where they stay in range.
+    """
+    return np.ldexp(np.exp(-0.5 * K * x * x), 2 * round(K * d * d / (32.0 * math.log(2.0))))
 
 
 def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
@@ -145,6 +154,7 @@ def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
 
     Both schemes discretize the Dirichlet form integral(u' v' w dx) to
     second order; the stiffness is positive semidefinite by construction.
+    w carries the constant factor of ``_weight``, which both sides share.
     """
     K, d, m = problem.K, problem.d, problem.m
     h = d / m
@@ -153,8 +163,8 @@ def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     if problem.bc == NEUMANN:
         nodes = (np.arange(m) - 0.5 * (m - 1)) * h
         links = (np.arange(1, m) - 0.5 * m) * h
-        cond = _weight(K, links) / h
-        mass = _weight(K, nodes) * h
+        cond = _weight(K, d, links) / h
+        mass = _weight(K, d, nodes) * h
         diag = np.zeros(m)
         diag[:-1] += cond
         diag[1:] += cond
@@ -162,8 +172,8 @@ def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     else:
         nodes = (np.arange(1, m) - 0.5 * m) * h
         links = (np.arange(m) - 0.5 * (m - 1)) * h
-        cond = _weight(K, links) / h
-        mass = _weight(K, nodes) * h
+        cond = _weight(K, d, links) / h
+        mass = _weight(K, d, nodes) * h
         diag = cond[:-1] + cond[1:]
         off = -cond[1:-1]
     return TridiagonalPencil(
@@ -207,11 +217,20 @@ def _flux_tridiag(pencil: TridiagonalPencil) -> tuple[np.ndarray, np.ndarray]:
     spectrum of the symmetric tridiagonal C^{1/2} B M^{-1} B^T C^{1/2}
     on the n - 1 links.  Nothing near zero survives, so bisection on
     this matrix resolves lambda_1 without fighting the null mode.
+
+    The product c_i c_{i+1} leaves the float range once a conductance
+    passes e^{+-354}.  The conductances are w/h with w centred by
+    ``_weight``, so scaled by the power of two nearest h they span only
+    about e^{-E/2}..e^{E/2}, and their product stays in range up to the
+    guard; the scaling is exact, so the geometric mean rounds as the
+    unscaled one does wherever that stays in range.
     """
     c = pencil.conductances
     inv_mass = 1.0 / pencil.mass
+    unit = 2.0 ** math.frexp(pencil.h)[1]
+    scaled = c * unit
     diag = c * (inv_mass[:-1] + inv_mass[1:])
-    off = -np.sqrt(c[:-1] * c[1:]) * inv_mass[1:-1]
+    off = -np.sqrt(scaled[:-1] * scaled[1:]) / unit * inv_mass[1:-1]
     return diag, off
 
 

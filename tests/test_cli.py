@@ -13,6 +13,7 @@ import wittengap.cli as cli
 import wittengap.shrinkers as shrinkers
 import wittengap.spectral as spectral
 from wittengap.cli import RunConfig, build_parser, main, run_suite
+from wittengap.report import canonical_json
 
 # reduced resolutions: fast and deterministic, deliberately below several
 # certified tolerances so the failure path is exercised too
@@ -124,6 +125,18 @@ def test_bounds_soliton_json(capsys):
     assert obj["sup_bound"] == pytest.approx(2.0 * (math.sqrt(2.0) - 1.0) * math.pi, abs=1e-12)
     assert obj["sup_is_largest"] is True
     assert obj["futaki_sano_is_smallest"] is True
+
+
+def test_commands_write_the_report_serialization(capsys):
+    # plain command output and reports share one byte format
+    rc, out, _ = run_cli(capsys, "bounds", "--soliton", "--lambda", "1")
+    assert rc == 0
+    assert out == canonical_json(json.loads(out))
+    assert out.endswith("}\n") and out.startswith('{\n  "andrews_ni": ')
+    rep = cli.case_gaussian(TINY)
+    assert rep.to_json() == canonical_json(rep.to_dict())
+    with pytest.raises(ValueError):
+        canonical_json({"x": math.nan})
 
 
 def test_bounds_grid_csv(capsys):
@@ -293,40 +306,44 @@ def test_shrinker_rosette_exports(capsys, tmp_path):
 
 
 @pytest.fixture()
-def closure_shots(monkeypatch):
-    """Counts rosette shots (closure-functional calls).
+def rosette_work(monkeypatch):
+    """Counts rosette root-finding quadratures and RK4 arc integrations.
 
-    Returns the live counter, reset to zero, and the shots that one
+    Returns the live counters, reset to zero, and the counts that one
     find_abresch_langer(1.0, 2, 3) takes.
     """
-    shots = [0]
-    shoot = shrinkers._closure_functional
+    counts = {"quadratures": 0, "integrations": 0}
+    for name, key in (("_half_period", "quadratures"), ("_integrate", "integrations")):
 
-    def counted(*args):
-        shots[0] += 1
-        return shoot(*args)
+        def counted(*args, _fn=getattr(shrinkers, name), _key=key):
+            counts[_key] += 1
+            return _fn(*args)
 
-    monkeypatch.setattr(shrinkers, "_closure_functional", counted)
+        monkeypatch.setattr(shrinkers, name, counted)
     shrinkers.find_abresch_langer(1.0, 2, 3)
-    one_shooting = shots[0]
-    shots[0] = 0
-    return shots, one_shooting
+    one_rosette = dict(counts)
+    counts.update(quadratures=0, integrations=0)
+    return counts, one_rosette
 
 
-def test_rosette_case_shoots_once(closure_shots):
-    shots, one_shooting = closure_shots
+def test_rosette_case_shoots_once(rosette_work):
+    counts, one_rosette = rosette_work
+    assert one_rosette["integrations"] == 1
     cfg = RunConfig(rosette_points=256)
     rep = cli.case_rosette(cfg, cli.find_abresch_langer(1.0, 2, 3, n_points=256))
     assert rep.case_id == "shrinker-rosette-2-3"
-    assert shots[0] == one_shooting
+    assert counts["quadratures"] == one_rosette["quadratures"]
+    # the fine curve's arc, then the coarse curve's from the same root
+    assert counts["integrations"] == 2
 
 
-def test_shrinker_rosette_export_reuses_the_shooting(capsys, tmp_path, closure_shots):
-    shots, one_shooting = closure_shots
+def test_shrinker_rosette_export_reuses_the_shooting(capsys, tmp_path, rosette_work):
+    counts, one_rosette = rosette_work
     curve_csv = tmp_path / "curve.csv"
     run_cli(capsys, "shrinker", "--al", "2", "3", "--points", "256", "--export", str(curve_csv))
     assert curve_csv.exists()
-    assert shots[0] == one_shooting
+    assert counts["quadratures"] == one_rosette["quadratures"]
+    assert counts["integrations"] == 2
 
 
 def test_shrinker_needs_a_mode(capsys):

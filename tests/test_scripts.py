@@ -35,13 +35,15 @@ def test_convergence_study_tables():
 
 def test_rosette_study_csv(tmp_path):
     csv = tmp_path / "rosettes.csv"
-    lines = run_script("rosette_study.py", "--max-q", "4", "--points", "512", "--csv", str(csv))
+    lines = run_script("rosette_study.py", "--max-q", "9", "--points", "512", "--csv", str(csv))
     assert lines[0].split()[:2] == ["p/q", "r0"]
-    # (2, 3) is the only admissible pair with q <= 4
-    assert len(lines) == 3
+    # the admissible pairs with q <= 9, in the order the survey walks them
+    assert [line.split()[0] for line in lines[1:-1]] == ["2/", "3/", "4/", "5/", "5/"]
     assert lines[1].startswith("2/  3")
-    assert lines[2] == f"wrote 1 rows to {csv}"
+    assert lines[-1] == f"wrote 5 rows to {csv}"
     rows = csv.read_text().splitlines()
     assert rows[0] == "p,q,r0,k_max,length,diameter_margin,mc_residual,eigen_residual"
-    assert len(rows) == 2
+    assert [row.split(",")[:2] for row in rows[1:]] == [
+        ["2", "3"], ["3", "5"], ["4", "7"], ["5", "8"], ["5", "9"]
+    ]
     assert rows[1].startswith("2,3,0.3131804")

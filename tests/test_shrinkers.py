@@ -1,5 +1,6 @@
-"""Closed shrinker curves: shooting, conserved quantities, identity checks."""
+"""Closed shrinker curves: the half-period root-find, conserved quantities, identity checks."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -28,7 +29,7 @@ from wittengap.shrinkers import (
     write_curve_csv,
 )
 
-# frozen shooting results at the default 4096-point budget
+# frozen rosette values at the default 4096-point budget
 R23_R0 = 0.31318043
 R23_K_MAX = 1.93359707
 R23_LENGTH = 14.93549255
@@ -70,10 +71,11 @@ def test_circle_curvature_diameter():
 
 
 def test_integrator_reproduces_circle():
-    # starting on the circle radius, the trajectory stays there
+    # starting on the circle radius, the trajectory stays there; the
+    # curvature is sqrt(lam) = 1/rc, so 6284 steps of 1e-3 rc turn past 2 pi
     lam = 2.0
     rc = 1.0 / math.sqrt(lam)
-    xs1, xs2, _, _ = shrinkers._integrate(lam, rc, 1e-3 * rc, 2.0 * math.pi, None)
+    xs1, xs2, _ = shrinkers._integrate(lam, rc, 1e-3 * rc, 6284)
     assert np.abs(np.hypot(xs1, xs2) - rc).max() <= 1e-9
 
 
@@ -83,9 +85,11 @@ def test_integrator_reproduces_circle():
 )
 @settings(max_examples=10, deadline=None)
 def test_first_integral_conserved_along_trajectories(lam, c):
-    # k exp(-lam |x|^2 / 2) is constant on every solution
+    # k exp(-lam |x|^2 / 2) is constant on every solution; the curvature
+    # starts at its minimum lam r0, so the steps turn the tangent by > 2
     r0 = c / math.sqrt(lam)
-    xs1, xs2, ths, _ = shrinkers._integrate(lam, r0, 1e-3 * r0, 2.0, None)
+    xs1, xs2, ths = shrinkers._integrate(lam, r0, 1e-3 * r0, math.ceil(2000.0 / c**2))
+    assert ths[-1] - ths[0] > 2.0
     curvatures = shrinkers._curvature_of(lam, xs1, xs2, ths)
     fi = first_integral(lam, np.column_stack([xs1, xs2]), curvatures)
     assert fi.max() - fi.min() <= 1e-9 * abs(fi[0])
@@ -126,38 +130,106 @@ def test_rosette_scaling_in_lam():
     assert curve.curvatures.max() == pytest.approx(R23_LAM4_K_MAX, abs=1e-6)
 
 
-def test_default_bracket_is_repaired_automatically():
-    # the (2, 3) root sits below half the circle radius, outside the
-    # default starting bracket; the search must widen it rather than fail
+def test_fixed_bracket_needs_one_brent_run():
     log = []
     curve = find_abresch_langer(1.0, 2, 3, n_points=512, log=log)
     assert curve.closure_residual <= 1e-8
-    iterations = [entry["iteration"] for entry in log]
-    assert iterations == sorted(iterations)
-    assert all(0.0 < entry["r0"] < 1.0 for entry in log)
+    assert [entry["iteration"] for entry in log] == list(range(len(log)))
+    lo, hi = shrinkers._TURNING_BRACKET
+    assert [log[0]["r0"], log[1]["r0"]] == [lo, hi]
+    assert all(lo <= entry["r0"] <= hi for entry in log)
     # one Brent run, not a 46-step bisection
     assert len(log) <= 16
 
 
-def test_shooting_repeats_no_shot(monkeypatch):
-    # brentq evaluates the repaired bracket end again and converges on one
-    # of its own evaluations; neither may be integrated a second time
-    shots = []
-    shoot = shrinkers._closure_functional
+def test_root_find_integrates_nothing_and_repeats_no_quadrature(monkeypatch):
+    # Brent's evaluations are quadratures only; the single RK4 integration
+    # is the assembly after the root-find
+    log, quadratures, integrations = [], [], []
+    half_period, integrate = shrinkers._half_period, shrinkers._integrate
 
-    def recorded(lam, r0, psi, h):
-        shots.append((r0, h))
-        return shoot(lam, r0, psi, h)
+    def counted_half_period(a, rule):
+        quadratures.append(a)
+        return half_period(a, rule)
 
-    monkeypatch.setattr(shrinkers, "_closure_functional", recorded)
-    find_abresch_langer(1.0, 2, 3)
-    assert len(shots) <= 14
-    assert len(set(shots)) == len(shots)
+    def counted_integrate(*args):
+        integrations.append(len(log))
+        return integrate(*args)
+
+    monkeypatch.setattr(shrinkers, "_half_period", counted_half_period)
+    monkeypatch.setattr(shrinkers, "_integrate", counted_integrate)
+    find_abresch_langer(1.0, 2, 3, log=log)
+    # one quadrature per Brent evaluation, then one for the root's arclength
+    assert len(quadratures) == len(log) + 1
+    assert len(set(quadratures[:-1])) == len(log)
+    assert quadratures[-1] in quadratures[:-1]
+    assert integrations == [len(log)]
+
+
+def test_pair_outside_the_bracket_is_rejected():
+    # p/q = 16/31 needs a half-period below the one at sqrt(lam) r0 = 1e-6
+    with pytest.raises(ValueError, match="same sign at both bracket ends"):
+        find_abresch_langer(1.0, 16, 31)
+
+
+def test_half_period_is_monotone_between_its_limits():
+    rule = shrinkers._angle_rule(shrinkers._QUAD_NODES)
+    lo, hi = shrinkers._TURNING_BRACKET
+    advance = [shrinkers._half_period(a, rule)[0] for a in np.linspace(lo, hi, 450)]
+    assert np.all(np.diff(advance) > 0.0)
+    # every admissible p/q with q <= 15 lies inside the bracket's range
+    pairs = [(p, q) for q in range(3, 16) for p in range(2, q) if math.gcd(p, q) == 1]
+    admissible = [p / q for p, q in pairs if 0.5 < p / q < math.sqrt(2.0) / 2.0]
+    assert len(admissible) == 14
+    assert advance[0] < math.pi * min(admissible) < math.pi * max(admissible) < advance[-1]
+    # pi/2 as a -> 0, slowly (about 0.76 / ln(1/a)), and pi/sqrt(2) as
+    # a -> 1, with a defect of 1.85 (1 - a)^2
+    deep = shrinkers._half_period(1e-300, rule)[0] - math.pi / 2.0
+    assert 0.0 < deep < 2e-3
+    shallow = math.pi / math.sqrt(2.0) - shrinkers._half_period(1.0 - 1e-5, rule)[0]
+    assert 0.0 < shallow < 1e-10
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (4, 7), (5, 9)])
+def test_half_period_quadrature_is_converged(p, q):
+    arc = find_abresch_langer(1.0, p, q, n_points=64).arc
+    base = shrinkers._half_period(arc.r0, shrinkers._angle_rule(shrinkers._QUAD_NODES))
+    doubled = shrinkers._half_period(arc.r0, shrinkers._angle_rule(2 * shrinkers._QUAD_NODES))
+    assert base[0] == pytest.approx(math.pi * p / q, abs=1e-14)
+    assert abs(doubled[0] - base[0]) < 1e-13
+    assert abs(doubled[1] - base[1]) < 1e-13 * base[1]
+    assert base[1] == arc.length
+
+
+def test_arc_matches_the_rk4_shooting():
+    # (2, 3) fundamental arc from Brent's method on RK4 shots at step
+    # 1e-3 r0 with Newton landing on the stopping angle
+    arc = find_abresch_langer(1.0, 2, 3, n_points=64).arc
+    assert arc.r0 == pytest.approx(0.31318043380846955, rel=1e-12)
+    assert arc.length == pytest.approx(2.4892487587150676, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [4.0, 0.3, 7.5])
+def test_arc_scales_exactly_with_lam(lam):
+    unit = find_abresch_langer(1.0, 2, 3, n_points=64).arc
+    arc = find_abresch_langer(lam, 2, 3, n_points=64).arc
+    assert arc.r0 == unit.r0 / math.sqrt(lam)
+    assert arc.length == unit.length / math.sqrt(lam)
+
+
+@pytest.mark.parametrize("field", ["r0", "length"])
+@pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.0 - 1e-6])
+def test_closure_gate_rejects_a_perturbed_arc(rosette23, field, factor):
+    # a 1e-6 relative error leaves a closure residual above 1e-6, far
+    # past TOL_CLOSURE = 1e-8
+    arc = dataclasses.replace(rosette23.arc, **{field: getattr(rosette23.arc, field) * factor})
+    with pytest.raises(RuntimeError, match="closure residual"):
+        assemble_rosette(arc, 512)
 
 
 def test_coarse_rosette_from_shared_arc_is_bit_identical(rosette23):
     # reassembling the converged arc gives exactly the curve a second
-    # shooting would
+    # root-find would
     shared = assemble_rosette(rosette23.arc, 1024)
     fresh = find_abresch_langer(1.0, 2, 3, n_points=1024)
     assert shared.arc == fresh.arc
@@ -169,7 +241,7 @@ def test_coarse_rosette_from_shared_arc_is_bit_identical(rosette23):
 
 def test_package_import_does_not_load_scipy_optimize():
     # scipy.optimize costs about 16 MB and 0.3 s to import; only the
-    # rosette shooting needs it, so it is imported there
+    # rosette root-find needs it, so it is imported there
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import sys, wittengap; print('scipy.optimize' in sys.modules)"

@@ -10,6 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from wittengap.sturm import (
     DIRICHLET,
+    EXPONENT_GUARD,
     NEUMANN,
     MeasureUnderflowError,
     OUProblem,
@@ -145,6 +146,33 @@ def test_neumann_zero_mode_is_structural():
 def test_measure_underflow_guard():
     with pytest.raises(MeasureUnderflowError):
         OUProblem(K=2000.0, d=10.0, m=100)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_weight_range_up_to_the_guard_solves(sign):
+    # |K| (d/2)^2 / 2 = 698.6 with h = d / 4000 on the fine mesh: unless
+    # the weight's range is centred, w/h or 1/(w h) leaves the float range
+    K, d = sign * 5.6e5, 0.0999
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        lam_n = neumann_lambda1(K, d)
+        lam_d = dirichlet_lambda1(K, d)
+    # the Neumann gap sits at K for K > 0; for K < 0 it is below the
+    # solver's resolution, and the Dirichlet one sits at -K
+    assert (lam_n if K > 0 else lam_d) == pytest.approx(abs(K), rel=1e-8)
+    assert math.isfinite(lam_n) and math.isfinite(lam_d)
+    # exactly at the guard still solves, just past it is rejected
+    edge = sign * EXPONENT_GUARD * 8.0 / d**2
+    assert math.isfinite(neumann_lambda1(edge * (1.0 - 1e-12), d))
+    with pytest.raises(MeasureUnderflowError):
+        OUProblem(K=edge * (1.0 + 1e-9), d=d)
+
+
+def test_negative_curvature_corner_of_the_box():
+    # K = -10, d = 20 is a corner of the criterion-01 box; the weight
+    # spans e^500 there, so c_i c_{i+1} spans e^1000
+    rep = verify_comparison(-10.0, 20.0)
+    assert rep.passed
+    assert math.isfinite(rep.computed["lambda1_ou"])
 
 
 def test_problem_validation():
