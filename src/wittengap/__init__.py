@@ -32,6 +32,7 @@ from wittengap.bounds import (
     sup_bound_branch,
     sup_bound_closed,
     sup_bound_grid,
+    sup_bound_grid_sweep,
 )
 from wittengap.report import SCHEMA_VERSION, VerificationReport, make_report
 from wittengap.shrinkers import (
@@ -119,6 +120,7 @@ __all__ = [
     "sup_bound_branch",
     "sup_bound_closed",
     "sup_bound_grid",
+    "sup_bound_grid_sweep",
     "verify_comparison",
     "witten_apply",
     "write_curve_csv",

@@ -6,10 +6,12 @@ L = Delta - grad(phi) . grad satisfies, for every s in (0, 1),
 
     lambda_1  >=  4 s (1 - s) pi^2 / d^2  +  s K.                    (*)
 
-``sup_bound_grid`` maximizes (*) over a dense uniform s-grid and is kept
-as the independent oracle: it evaluates every grid point, with no vertex
-or concavity shortcut.  ``sup_bound_closed`` is the closed form of the
-same supremum:
+``sup_bound_grid_sweep`` maximizes (*) over a dense uniform s-grid for
+every pair of a K list and a d list in one pass over the grid, and
+``sup_bound_grid`` is its one-pair call.  It is the one grid oracle, kept
+independent of the closed form: it evaluates every grid point for every
+pair, with no vertex or concavity shortcut.  ``sup_bound_closed`` is the
+closed form of the same supremum:
 
     0                          if K d^2  <  -4 pi^2
     (pi/d + K d / (4 pi))^2    if K d^2 in [-4 pi^2, 4 pi^2]
@@ -46,6 +48,7 @@ __all__ = [
     "SolitonDiameterBounds",
     "gap_expression",
     "sup_bound_grid",
+    "sup_bound_grid_sweep",
     "sup_bound_closed",
     "sup_bound_branch",
     "futaki_sano_bound",
@@ -57,7 +60,7 @@ __all__ = [
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
-# points per block of the grid oracle: two float64 block buffers stay in cache
+# points per block of the grid oracle: three float64 block buffers stay in cache
 _BLOCK = 2**15
 _BLOCK_OFFSETS = np.arange(1, _BLOCK + 1, dtype=np.float64)
 _BLOCK_OFFSETS.setflags(write=False)
@@ -132,36 +135,66 @@ def _grid_numerators(grid_size: int) -> np.ndarray:
 def sup_bound_grid(inp: BoundInput, grid_size: int = 10**6) -> float:
     """Maximize the gap expression over a uniform interior s-grid.
 
-    The supremum is taken over the open interval (0, 1).  Its value is
-    never below the s -> 0 limit of the expression, which is 0, so 0 is
-    included as a candidate; this keeps the evaluator a lower bound for
-    the true supremum even where the expression is negative on the whole
-    interior.  A dense maximum over every grid point, kept as the
-    independent oracle for ``sup_bound_closed``.
+    The one-pair call of ``sup_bound_grid_sweep``, the one dense grid
+    oracle: every grid point is evaluated, with no vertex or concavity
+    shortcut, and 0 is a candidate.  The grid and the rounding are
+    documented there.
+    """
+    return float(sup_bound_grid_sweep([inp.K], [inp.d], grid_size)[0, 0])
 
-    The grid is walked in cache-sized blocks through two reused buffers.
-    Each value is formed as ``gap_expression`` forms it, ``q / d^2 + s K``
-    with the cached ``q = _numerator(s)`` and ``s`` rebuilt from exact
-    integers, so the result equals the maximum of ``gap_expression`` over
-    the grid bit for bit.
+
+def _block_max(values: np.ndarray) -> float:
+    """Largest value of one block of the grid for one (K, d) pair."""
+    return float(values.max())
+
+
+def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
+    """Grid maxima of the gap expression for every pair of ``Ks`` x ``ds``.
+
+    Returns ``best`` of shape ``(len(Ks), len(ds))`` with ``best[i, j]``
+    the maximum over the uniform interior grid {n/(grid_size+1)} of the
+    expression at ``(Ks[i], ds[j])``.  The supremum is taken over the open
+    interval (0, 1).  Its value is never below the s -> 0 limit of the
+    expression, which is 0, so 0 is included as a candidate; this keeps
+    the evaluator a lower bound for the true supremum even where the
+    expression is negative on the whole interior.  A dense maximum over
+    every grid point of every pair, kept as the independent oracle for
+    ``sup_bound_closed``.
+
+    The grid is walked once, in cache-sized blocks through three reused
+    buffers: per block ``s`` is rebuilt from exact integers, per d the
+    cached ``q = _numerator(s)`` is divided by ``d^2``, and per K the
+    block of ``q / d^2 + s K`` is formed and its maximum folded into
+    ``best``.  Each value is formed as ``gap_expression`` forms it, so
+    every entry equals the maximum of ``gap_expression`` over the grid
+    bit for bit.  Each pair is validated as a ``BoundInput``.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+    Ks = [float(K) for K in Ks]
+    ds = [float(d) for d in ds]
+    for K in Ks:
+        for d in ds:
+            BoundInput(K=K, d=d)
     q = _grid_numerators(grid_size)
-    d2 = inp.d**2
+    best = np.zeros((len(Ks), len(ds)))
     n = min(_BLOCK, grid_size)
     s = np.empty(n)
+    scaled = np.empty(n)
     values = np.empty(n)
-    best = 0.0
     for lo in range(0, grid_size, _BLOCK):
         k = min(_BLOCK, grid_size - lo)
-        sk, vk = s[:k], values[:k]
+        sk, qk, vk = s[:k], scaled[:k], values[:k]
         np.add(_BLOCK_OFFSETS[:k], lo, out=sk)
         np.divide(sk, grid_size + 1, out=sk)
-        np.multiply(sk, inp.K, out=sk)
-        np.divide(q[lo : lo + k], d2, out=vk)
-        np.add(vk, sk, out=vk)
-        best = max(best, float(vk.max()))
+        for j, d in enumerate(ds):
+            np.divide(q[lo : lo + k], d**2, out=qk)
+            for i, K in enumerate(Ks):
+                np.multiply(sk, K, out=vk)
+                np.add(qk, vk, out=vk)
+                m = _block_max(vk)
+                if m > best[i, j]:
+                    best[i, j] = m
     return best
 
 

@@ -47,6 +47,7 @@ from wittengap.bounds import (
     sup_bound_branch,
     sup_bound_closed,
     sup_bound_grid,
+    sup_bound_grid_sweep,
 )
 from wittengap.report import SCHEMA_VERSION, VerificationReport, canonical_json, make_report
 from wittengap.shrinkers import (
@@ -188,12 +189,12 @@ def sweep_closed_vs_grid(cfg: RunConfig) -> list[tuple[float, float, float, floa
     """Rows (K, d, sup_closed, sup_grid, abs_diff) over the configured sweep."""
     Ks = np.linspace(*K_RANGE, cfg.n_k)
     ds = np.linspace(*D_RANGE, cfg.n_d)
+    grids = sup_bound_grid_sweep(Ks, ds, cfg.sup_grid_size)
     rows = []
-    for K in Ks:
-        for d in ds:
-            inp = BoundInput(K=float(K), d=float(d))
-            closed = sup_bound_closed(inp)
-            grid = sup_bound_grid(inp, cfg.sup_grid_size)
+    for i, K in enumerate(Ks):
+        for j, d in enumerate(ds):
+            closed = sup_bound_closed(BoundInput(K=float(K), d=float(d)))
+            grid = float(grids[i, j])
             rows.append((float(K), float(d), closed, grid, abs(closed - grid)))
     return rows
 

@@ -36,6 +36,7 @@ from .report import VerificationReport, make_report
 
 __all__ = [
     "MeasureUnderflowError",
+    "CellWidthError",
     "OUProblem",
     "TridiagonalPencil",
     "discretize_ou",
@@ -53,12 +54,23 @@ TOL_COMPARE_REL = 1e-5
 # exp arguments beyond this over/underflow in float64 (exp(709.8) ~ 1.8e308)
 EXPONENT_GUARD = 700.0
 
+# smallest cell width h = d / m the solver takes.  The pencil entries scale
+# like 1/h^2, and LAPACK's bisection (stebz) squares the off-diagonal, so
+# that must stay below 2^512.  Within the exponent guard and m >= 8 the
+# off-diagonal is at most about e^(E/m^2) <= 2^16 times 1/h^2 (E the guarded
+# exponent), which puts the limit near h = 2^-248; this keeps 8 bits more.
+MIN_CELL_WIDTH = 2.0**-240
+
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
 
 
 class MeasureUnderflowError(ValueError):
     """The weight exp(-K x^2 / 2) over- or underflows at the endpoints."""
+
+
+class CellWidthError(ValueError):
+    """The cell width d / m is too small for the 1/h^2 pencil to stay in range."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,12 @@ class OUProblem:
             raise ValueError(f"interval length d must be positive, got {self.d!r}")
         if self.m < 8:
             raise ValueError(f"cell count m must be at least 8, got {self.m}")
+        h = self.d / self.m
+        if h < MIN_CELL_WIDTH:
+            raise CellWidthError(
+                f"cell width d / m = {h!r} is below 2^{math.log2(MIN_CELL_WIDTH):.0f}; "
+                "the 1/h^2 pencil leaves the eigensolver's float range"
+            )
         if self.bc not in (NEUMANN, DIRICHLET):
             raise ValueError(f"bc must be {NEUMANN!r} or {DIRICHLET!r}, got {self.bc!r}")
         exponent = abs(self.K) * (self.d / 2.0) ** 2 / 2.0

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+import wittengap.bounds as bounds
 from wittengap.cli import HEIGHT_COEFFICIENTS, RunConfig, run_suite
 
 
@@ -21,8 +22,24 @@ def announce(capsys, num: int, ok: bool, text: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return {r.case_id: r for r in run_suite(RunConfig())}
+def suite():
+    """The certified reports, and how many grid values the s-grid oracle reduced."""
+    seen = {"points": 0}
+    block_max = bounds._block_max
+
+    def counting_block_max(values):
+        seen["points"] += values.size
+        return block_max(values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_block_max", counting_block_max)
+        reports = {r.case_id: r for r in run_suite(RunConfig())}
+    return reports, seen["points"]
+
+
+@pytest.fixture(scope="module")
+def reports(suite):
+    return suite[0]
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +105,12 @@ def test_criterion_01_closed_form_vs_grid(capsys, rep_bounds):
     )
     assert ok
     assert rep_bounds.passed
+
+
+def test_criterion_01_evaluates_every_grid_point(suite):
+    # the sweep shares one pass over the grid among the 50x50 pairs, and
+    # still reduces 10^6 values for each of them
+    assert suite[1] == 50 * 50 * 10**6
 
 
 def test_criterion_02_branch_continuity(capsys, rep_bounds):

@@ -22,6 +22,7 @@ from wittengap.bounds import (
     sup_bound_branch,
     sup_bound_closed,
     sup_bound_grid,
+    sup_bound_grid_sweep,
 )
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -97,6 +98,27 @@ def test_grid_oracle_is_bit_identical_to_the_dense_maximum(grid_size):
         assert sup_bound_grid(BoundInput(K=K, d=d), grid_size) == dense_grid_sup(K, d, grid_size)
 
 
+@pytest.mark.parametrize("grid_size", [1, 2**15 - 1, 2**15, 2**15 + 1, 10**6])
+def test_grid_sweep_is_bit_identical_to_the_dense_maximum(grid_size):
+    # one sweep over every K x d pair of the points, not only the listed pairs
+    k_values = [K for K, _ in BIT_IDENTITY_POINTS]
+    d_values = [d for _, d in BIT_IDENTITY_POINTS]
+    best = sup_bound_grid_sweep(k_values, d_values, grid_size)
+    assert best.shape == (len(k_values), len(d_values))
+    for i, K in enumerate(k_values):
+        for j, d in enumerate(d_values):
+            assert best[i, j] == dense_grid_sup(K, d, grid_size)
+
+
+def test_grid_sweep_validates_every_pair():
+    with pytest.raises(ValueError):
+        sup_bound_grid_sweep([0.0, math.nan], [1.0], 10)
+    with pytest.raises(ValueError, match="diameter d out of range"):
+        sup_bound_grid_sweep([0.0], [1.0, 1e-200], 10)
+    with pytest.raises(ValueError):
+        sup_bound_grid_sweep([0.0], [1.0], 0)
+
+
 def test_gap_expression_matches_the_written_out_formula():
     s = np.arange(1, 1001, dtype=np.float64) / 1001
     for K, d in BIT_IDENTITY_POINTS:
@@ -114,6 +136,14 @@ def test_grid_oracle_allocates_no_full_grid_per_call():
     finally:
         tracemalloc.stop()
     # one 10^6-point float64 temporary alone would be 8 MB
+    assert peak < 2**20
+    k_values, d_values = np.linspace(-10.0, 10.0, 5), np.linspace(0.1, 20.0, 5)
+    tracemalloc.start()
+    try:
+        sup_bound_grid_sweep(k_values, d_values, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 2**20
 
 

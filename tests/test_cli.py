@@ -3,7 +3,10 @@
 import filecmp
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,23 @@ def test_bounds_json(capsys):
     assert abs(obj["sup_closed"] - obj["sup_grid"]) <= 1e-6
     assert obj["sup_ge_futaki_sano"] is True
     assert obj["sup_ge_andrews_ni"] is True
+
+
+def test_module_entry_point_runs_from_a_checkout(capsys):
+    # python -m wittengap without an install, the package found through PYTHONPATH
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittengap", "bounds", "--K", "1", "--d", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, out, _ = run_cli(capsys, "bounds", "--K", "1", "--d", "3")
+    assert rc == 0
+    assert proc.stdout == out
 
 
 def test_bounds_soliton_json(capsys):

@@ -11,7 +11,9 @@ from scipy.linalg import eigh_tridiagonal
 from wittengap.sturm import (
     DIRICHLET,
     EXPONENT_GUARD,
+    MIN_CELL_WIDTH,
     NEUMANN,
+    CellWidthError,
     MeasureUnderflowError,
     OUProblem,
     dirichlet_lambda1,
@@ -165,6 +167,26 @@ def test_weight_range_up_to_the_guard_solves(sign):
     assert math.isfinite(neumann_lambda1(edge * (1.0 - 1e-12), d))
     with pytest.raises(MeasureUnderflowError):
         OUProblem(K=edge * (1.0 + 1e-9), d=d)
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("m", [8, 2000])
+def test_cell_width_guard(bc, m):
+    # exactly at the guard every admitted K solves, up to the exponent guard
+    # in both signs; just below it the problem is rejected at validation
+    d = MIN_CELL_WIDTH * m
+    for K in (0.0, EXPONENT_GUARD * 8.0 / d**2, -EXPONENT_GUARD * 8.0 / d**2):
+        assert math.isfinite(raw_lambda1(K, d, m, bc))
+    with pytest.raises(CellWidthError, match="cell width"):
+        OUProblem(K=0.0, d=math.nextafter(d, 0.0), m=m, bc=bc)
+
+
+@pytest.mark.parametrize("solve", [neumann_lambda1, dirichlet_lambda1])
+@pytest.mark.parametrize("d, m", [(1e-100, 8), (1e-140, 2000), (1e-160, 8)])
+def test_tiny_interval_is_rejected_by_name(solve, d, m):
+    # these died in LAPACK bisection or on an infinite 1/h^2 entry
+    with pytest.raises(CellWidthError):
+        solve(0.0, d, m)
 
 
 def test_negative_curvature_corner_of_the_box():
