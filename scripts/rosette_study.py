@@ -28,7 +28,7 @@ def admissible_pairs(max_q: int):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-q", type=int, default=8)
+    ap.add_argument("--max-q", type=int, default=15)
     ap.add_argument("--lam", type=float, default=1.0)
     ap.add_argument("--points", type=int, default=4096)
     ap.add_argument("--csv", help="also write the table to this CSV file")

@@ -19,9 +19,9 @@ tangent angle: the support function P = sqrt(lam) <x, N> solves
 P'' + P = 1/P, and closure is a condition on its half-period, one
 quadrature per trial, solved by Brent's method (Brent, *Algorithms for
 Minimization without Derivatives*, 1973).  ``assemble_rosette`` then
-integrates the fundamental arc once by RK4 and joins 2q reflected copies
-of it at any node count.  With ``circle_shrinker`` these are the only
-constructors, so every ``ShrinkerCurve`` is closed.
+integrates the fundamental arc once by DOP853 and joins 2q reflected
+copies of it at any node count.  With ``circle_shrinker`` these are the
+only constructors, so every ``ShrinkerCurve`` is closed.
 
 Every closed curve carries the potential phi = lam |x|^2 / 2 - 1/2,
 which the drift Laplacian of the induced weighted ring complex maps to
@@ -44,6 +44,7 @@ __all__ = [
     "ShrinkerCurve",
     "FundamentalArc",
     "CurvatureDiameter",
+    "ArcIntegrationError",
     "SolitonPointCheck",
     "circle_shrinker",
     "first_integral",
@@ -65,6 +66,14 @@ _QUAD_NODES = 128
 _TURNING_BRACKET = (1e-6, 0.99)
 # largest closure residual an assembled rosette may have
 TOL_CLOSURE = 1e-8
+# DOP853 tolerances of the fundamental-arc integration: rtol just above
+# solve_ivp's floor of 100 eps, atol far below every state at any lam
+_RTOL = 3e-14
+_ATOL = 1e-16
+
+
+class ArcIntegrationError(RuntimeError):
+    """The adaptive integrator stopped before the end of the arc."""
 
 
 @dataclass
@@ -183,44 +192,23 @@ def circle_shrinker(lam: float, n_points: int) -> ShrinkerCurve:
     )
 
 
-def _rhs(lam: float, x1: float, x2: float, th: float) -> tuple[float, float, float]:
-    c, s = math.cos(th), math.sin(th)
-    return c, s, lam * (x1 * s - x2 * c)
+def _integrate(lam: float, r0: float, length: float, n_steps: int):
+    """States (xs1, xs2, ths) at ``n_steps + 1`` uniform arclength nodes
+    on [0, length], from x = (r0, 0), th = pi/2: one DOP853 solve
+    (Hairer, Norsett & Wanner, *Solving ODEs I*)."""
+    from scipy.integrate import solve_ivp  # loads scipy.optimize too
 
+    def rhs(_s, y):
+        c, s = math.cos(y[2]), math.sin(y[2])
+        return [c, s, lam * (y[0] * s - y[1] * c)]
 
-def _rk4_step(lam, x1, x2, th, h):
-    a1, b1, c1 = _rhs(lam, x1, x2, th)
-    a2, b2, c2 = _rhs(lam, x1 + 0.5 * h * a1, x2 + 0.5 * h * b1, th + 0.5 * h * c1)
-    a3, b3, c3 = _rhs(lam, x1 + 0.5 * h * a2, x2 + 0.5 * h * b2, th + 0.5 * h * c2)
-    a4, b4, c4 = _rhs(lam, x1 + h * a3, x2 + h * b3, th + h * c3)
-    return (
-        x1 + h * (a1 + 2.0 * (a2 + a3) + a4) / 6.0,
-        x2 + h * (b1 + 2.0 * (b2 + b3) + b4) / 6.0,
-        th + h * (c1 + 2.0 * (c2 + c3) + c4) / 6.0,
+    y0, nodes = [r0, 0.0, 0.5 * math.pi], np.linspace(0.0, length, n_steps + 1)
+    sol = solve_ivp(
+        rhs, (0.0, length), y0, method="DOP853", t_eval=nodes, rtol=_RTOL, atol=_ATOL
     )
-
-
-def _integrate(lam: float, r0: float, h: float, n_steps: int):
-    """``n_steps`` RK4 steps of size h from x = (r0, 0), th = pi/2.
-
-    Returns the states (xs1, xs2, ths).  The curvature resolution guard
-    fails the run rather than produce an under-resolved arc.
-    """
-    x1, x2, th = r0, 0.0, 0.5 * math.pi
-    xs1, xs2, ths = [x1], [x2], [th]
-    k_cap = 1.0 / (10.0 * h)
-    for _ in range(n_steps):
-        k_here = lam * (x1 * math.sin(th) - x2 * math.cos(th))
-        if abs(k_here) > k_cap:
-            raise RuntimeError(
-                f"curvature {k_here:.3g} exceeds resolution guard 1/(10 h) = {k_cap:.3g}; "
-                "reduce the step"
-            )
-        x1, x2, th = _rk4_step(lam, x1, x2, th, h)
-        xs1.append(x1)
-        xs2.append(x2)
-        ths.append(th)
-    return xs1, xs2, ths
+    if not sol.success:
+        raise ArcIntegrationError(f"arc integration failed: {sol.message}")
+    return sol.y
 
 
 def _curvature_of(lam: float, xs1, xs2, ths) -> np.ndarray:
@@ -334,22 +322,20 @@ def find_abresch_langer(
 def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
     """Closed rosette of about ``n_points`` nodes from its fundamental arc.
 
-    The arc is integrated by RK4 and sampled at J = n_points / (2 q)
-    uniform nodes, and the closed curve is 2q alternately reflected
-    copies of it.  Raises when the closure residual exceeds
-    ``TOL_CLOSURE``: the worst joint gap, or the radial velocity <x, T>
-    at the end of the integrated arc, which vanishes where the arc meets
-    its symmetry line at a right angle.
+    The arc is integrated once by DOP853 and sampled at
+    J = n_points / (2 q) uniform nodes, and the closed curve is 2q
+    alternately reflected copies of it.  Raises ``ArcIntegrationError``
+    when the integrator fails, and ``RuntimeError`` when the closure
+    residual exceeds ``TOL_CLOSURE``: the worst joint gap, or the radial
+    velocity <x, T> at the end of the integrated arc, which vanishes
+    where the arc meets its symmetry line at a right angle.
     """
-    lam, r0, q = arc.lam, arc.r0, arc.q
+    lam, q = arc.lam, arc.q
     psi = math.pi * arc.p / q
     J = max(int(round(n_points / (2 * q))), 16)
-    oversample = max(4, math.ceil((arc.length / J) / (1e-3 * r0)))
-    h_fine = arc.length / (J * oversample)
-    xs1, xs2, ths = _integrate(lam, r0, h_fine, J * oversample)
-    X = np.column_stack([xs1, xs2])[::oversample]
-    TH = np.asarray(ths)[::oversample]
-    KK = _curvature_of(lam, xs1, xs2, ths)[::oversample]
+    xs1, xs2, TH = _integrate(lam, arc.r0, arc.length, J)
+    X = np.column_stack([xs1, xs2])
+    KK = _curvature_of(lam, xs1, xs2, TH)
 
     # copies alternate: rotation by 2 j psi of the arc, and of its
     # reflection across the psi-line (a flip of y, then rotation by
@@ -376,8 +362,8 @@ def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
     points = np.concatenate(pts)
     angles = np.concatenate(angs)
     curvatures = np.concatenate(curv)
-    end_velocity = xs1[-1] * math.cos(ths[-1]) + xs2[-1] * math.sin(ths[-1])
-    closure = max(max(joint_gaps), abs(end_velocity))
+    end_velocity = xs1[-1] * math.cos(TH[-1]) + xs2[-1] * math.sin(TH[-1])
+    closure = float(max(max(joint_gaps), abs(end_velocity)))
     if closure > TOL_CLOSURE:
         raise RuntimeError(
             f"assembled closure residual {closure:.3e} exceeds {TOL_CLOSURE:.1e}"

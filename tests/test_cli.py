@@ -207,6 +207,16 @@ def test_ou_check_shift_solves_each_problem_once(capsys, monkeypatch, bc):
     assert {"lambda_neumann", "lambda_dirichlet", "shift_defect"} <= set(obj)
 
 
+def test_comparison_grid_solves_each_flat_problem_once(monkeypatch):
+    # the flat-exactness check reads the K = 0 solves of the grid loop
+    assert set(cli.EXACTNESS_DS) <= set(cli.D_GRID)
+    calls = count_calls(monkeypatch, [cli], ["neumann_lambda1", "dirichlet_lambda1"])
+    rep = cli.case_comparison_grid(RunConfig(ou_m=200))
+    n_grid = len(cli.K_GRID) * len(cli.D_GRID)
+    assert calls == {"neumann_lambda1": n_grid, "dirichlet_lambda1": n_grid}
+    assert rep.computed["exactness_worst_rel"] > 0.0
+
+
 def test_ou_verify_passes(capsys):
     rc, out, _ = run_cli(capsys, "ou", "--verify", "--K", "1", "--d", "2", "--m", "400")
     assert rc == 0
@@ -327,7 +337,7 @@ def test_shrinker_rosette_exports(capsys, tmp_path):
 
 @pytest.fixture()
 def rosette_work(monkeypatch):
-    """Counts rosette root-finding quadratures and RK4 arc integrations.
+    """Counts rosette root-finding quadratures and DOP853 arc integrations.
 
     Returns the live counters, reset to zero, and the counts that one
     find_abresch_langer(1.0, 2, 3) takes.

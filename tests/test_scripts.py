@@ -33,6 +33,17 @@ def test_convergence_study_tables():
     assert len(lines[meshes + 2 :]) == 2
 
 
+def test_rosette_study_default_covers_every_pair_up_to_q15():
+    # the script asserts d >= bound for each pair it lists
+    lines = run_script("rosette_study.py")
+    assert lines[0].split()[:2] == ["p/q", "r0"]
+    pairs = [line.split()[0] + line.split()[1] for line in lines[1:]]
+    assert pairs == [
+        "2/3", "3/5", "4/7", "5/8", "5/9", "7/10", "6/11",
+        "7/11", "7/12", "7/13", "8/13", "9/13", "9/14", "8/15",
+    ]
+
+
 def test_rosette_study_csv(tmp_path):
     csv = tmp_path / "rosettes.csv"
     lines = run_script("rosette_study.py", "--max-q", "9", "--points", "512", "--csv", str(csv))

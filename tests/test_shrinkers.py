@@ -5,10 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,10 +74,10 @@ def test_circle_curvature_diameter():
 
 def test_integrator_reproduces_circle():
     # starting on the circle radius, the trajectory stays there; the
-    # curvature is sqrt(lam) = 1/rc, so 6284 steps of 1e-3 rc turn past 2 pi
+    # curvature is sqrt(lam) = 1/rc, so an arclength of 6.284 rc turns past 2 pi
     lam = 2.0
     rc = 1.0 / math.sqrt(lam)
-    xs1, xs2, _ = shrinkers._integrate(lam, rc, 1e-3 * rc, 6284)
+    xs1, xs2, _ = shrinkers._integrate(lam, rc, 6.284 * rc, 6284)
     assert np.abs(np.hypot(xs1, xs2) - rc).max() <= 1e-9
 
 
@@ -86,9 +88,11 @@ def test_integrator_reproduces_circle():
 @settings(max_examples=10, deadline=None)
 def test_first_integral_conserved_along_trajectories(lam, c):
     # k exp(-lam |x|^2 / 2) is constant on every solution; the curvature
-    # starts at its minimum lam r0, so the steps turn the tangent by > 2
+    # starts at its minimum lam r0, so an arclength of 2 / (lam r0) turns
+    # the tangent by > 2
     r0 = c / math.sqrt(lam)
-    xs1, xs2, ths = shrinkers._integrate(lam, r0, 1e-3 * r0, math.ceil(2000.0 / c**2))
+    n_steps = math.ceil(2000.0 / c**2)
+    xs1, xs2, ths = shrinkers._integrate(lam, r0, 1e-3 * r0 * n_steps, n_steps)
     assert ths[-1] - ths[0] > 2.0
     curvatures = shrinkers._curvature_of(lam, xs1, xs2, ths)
     fi = first_integral(lam, np.column_stack([xs1, xs2]), curvatures)
@@ -143,7 +147,7 @@ def test_fixed_bracket_needs_one_brent_run():
 
 
 def test_root_find_integrates_nothing_and_repeats_no_quadrature(monkeypatch):
-    # Brent's evaluations are quadratures only; the single RK4 integration
+    # Brent's evaluations are quadratures only; the single DOP853 integration
     # is the assembly after the root-find
     log, quadratures, integrations = [], [], []
     half_period, integrate = shrinkers._half_period, shrinkers._integrate
@@ -227,6 +231,17 @@ def test_closure_gate_rejects_a_perturbed_arc(rosette23, field, factor):
         assemble_rosette(arc, 512)
 
 
+def test_failed_arc_integration_is_a_named_error(rosette23, monkeypatch):
+    # an integrator that stops early must fail the assembly, not leave a
+    # short arc for the closure gate to judge
+    def failed_solve(*args, **kwargs):
+        return types.SimpleNamespace(success=False, message="step size underflow", y=None)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed_solve)
+    with pytest.raises(shrinkers.ArcIntegrationError, match="step size underflow"):
+        assemble_rosette(rosette23.arc, 512)
+
+
 def test_coarse_rosette_from_shared_arc_is_bit_identical(rosette23):
     # reassembling the converged arc gives exactly the curve a second
     # root-find would
@@ -240,13 +255,14 @@ def test_coarse_rosette_from_shared_arc_is_bit_identical(rosette23):
 
 
 def test_package_import_does_not_load_scipy_optimize():
-    # scipy.optimize costs about 16 MB and 0.3 s to import; only the
-    # rosette root-find needs it, so it is imported there
+    # scipy.optimize costs about 16 MB and 0.3 s to import, and
+    # scipy.integrate loads it; only rosettes need them, so they are
+    # imported there
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, wittengap; print('scipy.optimize' in sys.modules)"
+    code = "import sys, wittengap; print([m in sys.modules for m in ('scipy.optimize', 'scipy.integrate')])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "False", out.stderr
+    assert out.stdout.strip() == "[False, False]", out.stderr
 
 
 def test_mean_curvature_identity(rosette23):
