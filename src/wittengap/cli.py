@@ -330,6 +330,7 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
     ratio_max = max(ratios)
 
     exact_worst = 0.0
+    exact_hits = 0
     shift_worst = 0.0
     compare_min = math.inf
     eq_worst = 0.0
@@ -347,6 +348,14 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
                     target = math.pi**2 / d**2
                     for lam in (lam_n, lam_d):
                         exact_worst = max(exact_worst, abs(lam - target) / target)
+                        exact_hits += 1
+    if exact_hits != 2 * len(EXACTNESS_DS):
+        # the flat-exactness gate reads the grid's K = 0 solves; a grid that
+        # misses 0.0 or an EXACTNESS_DS value would leave it checking nothing
+        raise RuntimeError(
+            f"flat-exactness check saw {exact_hits} of {2 * len(EXACTNESS_DS)} "
+            "solves: K_GRID must contain 0.0 and D_GRID every EXACTNESS_DS value"
+        )
 
     return make_report(
         case_id="ou-comparison-grid",

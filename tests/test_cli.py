@@ -217,6 +217,13 @@ def test_comparison_grid_solves_each_flat_problem_once(monkeypatch):
     assert rep.computed["exactness_worst_rel"] > 0.0
 
 
+def test_comparison_grid_rejects_an_exactness_d_off_the_grid(monkeypatch):
+    assert 1.5 not in cli.D_GRID
+    monkeypatch.setattr(cli, "EXACTNESS_DS", (*cli.EXACTNESS_DS, 1.5))
+    with pytest.raises(RuntimeError, match="saw 8 of 10 solves"):
+        cli.case_comparison_grid(RunConfig(ou_m=200))
+
+
 def test_ou_verify_passes(capsys):
     rc, out, _ = run_cli(capsys, "ou", "--verify", "--K", "1", "--d", "2", "--m", "400")
     assert rc == 0
