@@ -10,8 +10,10 @@ L = Delta - grad(phi) . grad satisfies, for every s in (0, 1),
 every pair of a K list and a d list in one pass over the grid, and
 ``sup_bound_grid`` is its one-pair call.  It is the one grid oracle, kept
 independent of the closed form: it evaluates every grid point for every
-pair, with no vertex or concavity shortcut.  ``sup_bound_closed`` is the
-closed form of the same supremum:
+pair, with no vertex or concavity shortcut.  Its ``d`` columns are split
+among forked worker processes, one contiguous chunk per usable CPU; the
+entries are bit for bit those of one process, and a single chunk forks
+nothing.  ``sup_bound_closed`` is the closed form of the same supremum:
 
     0                          if K d^2  <  -4 pi^2
     (pi/d + K d / (4 pi))^2    if K d^2 in [-4 pi^2, 4 pi^2]
@@ -34,6 +36,7 @@ of curvature squared) gives ``shrinker_diameter_bound``.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -148,6 +151,34 @@ def _block_max(values: np.ndarray) -> float:
     return float(values.max())
 
 
+def _sweep_columns(Ks: list[float], ds: list[float], grid_size: int) -> np.ndarray:
+    """The block loop of ``sup_bound_grid_sweep`` over the columns ``ds``.
+
+    Takes validated floats; ``_grid_numerators(grid_size)`` is built by the
+    caller before any worker is forked, so the workers share it.
+    """
+    q = _grid_numerators(grid_size)
+    best = np.zeros((len(Ks), len(ds)))
+    n = min(_BLOCK, grid_size)
+    s = np.empty(n)
+    scaled = np.empty(n)
+    values = np.empty(n)
+    for lo in range(0, grid_size, _BLOCK):
+        k = min(_BLOCK, grid_size - lo)
+        sk, qk, vk = s[:k], scaled[:k], values[:k]
+        np.add(_BLOCK_OFFSETS[:k], lo, out=sk)
+        np.divide(sk, grid_size + 1, out=sk)
+        for j, d in enumerate(ds):
+            np.divide(q[lo : lo + k], d**2, out=qk)
+            for i, K in enumerate(Ks):
+                np.multiply(sk, K, out=vk)
+                np.add(qk, vk, out=vk)
+                m = _block_max(vk)
+                if m > best[i, j]:
+                    best[i, j] = m
+    return best
+
+
 def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     """Grid maxima of the gap expression for every pair of ``Ks`` x ``ds``.
 
@@ -168,6 +199,14 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     ``best``.  Each value is formed as ``gap_expression`` forms it, so
     every entry equals the maximum of ``gap_expression`` over the grid
     bit for bit.  Each pair is validated as a ``BoundInput``.
+
+    The ``d`` values are split into one contiguous chunk per usable CPU
+    (``os.sched_getaffinity``), at most one per value.  This process
+    sweeps the first chunk and forked workers the others; ``best`` is
+    assembled by column.  A column's entries depend on no other column, so
+    the split leaves every entry bit for bit as it was.  A single chunk
+    (one CPU, one ``d``) forks nothing.  A worker's exception is raised
+    here, and no partial ``best`` is returned.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
@@ -176,25 +215,28 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     for K in Ks:
         for d in ds:
             BoundInput(K=K, d=d)
-    q = _grid_numerators(grid_size)
-    best = np.zeros((len(Ks), len(ds)))
-    n = min(_BLOCK, grid_size)
-    s = np.empty(n)
-    scaled = np.empty(n)
-    values = np.empty(n)
-    for lo in range(0, grid_size, _BLOCK):
-        k = min(_BLOCK, grid_size - lo)
-        sk, qk, vk = s[:k], scaled[:k], values[:k]
-        np.add(_BLOCK_OFFSETS[:k], lo, out=sk)
-        np.divide(sk, grid_size + 1, out=sk)
-        for j, d in enumerate(ds):
-            np.divide(q[lo : lo + k], d**2, out=qk)
-            for i, K in enumerate(Ks):
-                np.multiply(sk, K, out=vk)
-                np.add(qk, vk, out=vk)
-                m = _block_max(vk)
-                if m > best[i, j]:
-                    best[i, j] = m
+    _grid_numerators(grid_size)  # built before the fork: workers share it copy-on-write
+    # platforms without sched_getaffinity (macOS, Windows) sweep in one chunk
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_chunks = max(1, min(len(ds), cpus))
+    if n_chunks == 1:
+        return _sweep_columns(Ks, ds, grid_size)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # this process also runs the pool, so its first chunk is the smaller one
+    edges = [len(ds) * c // n_chunks for c in range(n_chunks + 1)]
+    spans = list(zip(edges[:-1], edges[1:]))
+    best = np.empty((len(Ks), len(ds)))
+    # fork, not spawn: the workers inherit this module as it stands, the
+    # cached grid included, instead of importing it afresh
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(n_chunks - 1, mp_context=fork) as pool:
+        futures = [pool.submit(_sweep_columns, Ks, ds[lo:hi], grid_size) for lo, hi in spans[1:]]
+        lo, hi = spans[0]
+        best[:, lo:hi] = _sweep_columns(Ks, ds[lo:hi], grid_size)
+        for (lo, hi), future in zip(spans[1:], futures):
+            best[:, lo:hi] = future.result()
     return best
 
 

@@ -8,6 +8,7 @@ command writes.
 """
 
 import math
+import multiprocessing
 
 import pytest
 
@@ -23,18 +24,23 @@ def announce(capsys, num: int, ok: bool, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def suite():
-    """The certified reports, and how many grid values the s-grid oracle reduced."""
-    seen = {"points": 0}
+    """The certified reports, and how many grid values the s-grid oracle reduced.
+
+    The count is shared memory, so the sweep's forked workers, which
+    inherit the patched ``_block_max``, add their blocks to it too.
+    """
+    points = multiprocessing.Value("q", 0)
     block_max = bounds._block_max
 
     def counting_block_max(values):
-        seen["points"] += values.size
+        with points.get_lock():
+            points.value += values.size
         return block_max(values)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "_block_max", counting_block_max)
         reports = {r.case_id: r for r in run_suite(RunConfig())}
-    return reports, seen["points"]
+    return reports, points.value
 
 
 @pytest.fixture(scope="module")

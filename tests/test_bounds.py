@@ -1,13 +1,19 @@
 """Closed-form gap bounds against the grid oracle and family members."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wittengap.bounds as bounds
 from wittengap.bounds import (
     BoundInput,
     ShrinkerBoundInput,
@@ -23,6 +29,7 @@ from wittengap.bounds import (
     sup_bound_closed,
     sup_bound_grid,
     sup_bound_grid_sweep,
+    _sweep_columns,
 )
 
 FOUR_PI_SQ = 4.0 * math.pi**2
@@ -110,6 +117,80 @@ def test_grid_sweep_is_bit_identical_to_the_dense_maximum(grid_size):
             assert best[i, j] == dense_grid_sup(K, d, grid_size)
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("n_d", [1, 2, 3, 5])
+def test_grid_sweep_split_by_d_is_bit_identical(monkeypatch, cpus, n_d):
+    # min(n_d, cpus) chunks: none, even and uneven splits, and a chunk edge
+    # inside the grid's blocks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    grid_size = 2**15 + 1
+    k_values = [K for K, _ in BIT_IDENTITY_POINTS]
+    d_values = [d for _, d in BIT_IDENTITY_POINTS[:n_d]]
+    best = sup_bound_grid_sweep(k_values, d_values, grid_size)
+    assert best.shape == (len(k_values), n_d)
+    for i, K in enumerate(k_values):
+        for j, d in enumerate(d_values):
+            assert best[i, j] == dense_grid_sup(K, d, grid_size)
+
+
+ONE_CPU_SWEEP = """
+import json, os, sys
+from wittengap.bounds import sup_bound_grid_sweep
+forks = []
+os.register_at_fork(before=lambda: forks.append(None))
+cpus = os.sched_getaffinity(0)
+os.sched_setaffinity(0, {min(cpus)})
+best = sup_bound_grid_sweep(*json.loads(sys.argv[1]))
+one_cpu_forks = len(forks)
+os.sched_setaffinity(0, cpus)
+sup_bound_grid_sweep(*json.loads(sys.argv[1]))
+print(best.tobytes().hex(), one_cpu_forks, len(cpus), len(forks) - one_cpu_forks)
+"""
+
+
+def test_grid_sweep_on_one_cpu_starts_no_worker():
+    grid_size = 2**15 + 1
+    k_values = [K for K, _ in BIT_IDENTITY_POINTS]
+    d_values = [d for _, d in BIT_IDENTITY_POINTS[:5]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_SWEEP, json.dumps([k_values, d_values, grid_size])],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    ).stdout.split()
+    best = np.frombuffer(bytes.fromhex(out[0])).reshape(len(k_values), len(d_values))
+    for i, K in enumerate(k_values):
+        for j, d in enumerate(d_values):
+            assert best[i, j] == dense_grid_sup(K, d, grid_size)
+    one_cpu_forks, cpus, all_cpu_forks = map(int, out[1:])
+    assert one_cpu_forks == 0
+    # the fork counter sees the workers when more than one CPU is usable
+    if cpus > 1:
+        assert all_cpu_forks == min(cpus, len(d_values)) - 1
+
+
+_PARENT_PID = os.getpid()
+
+
+def _sweep_columns_failing_in_workers(Ks, ds, grid_size):
+    if os.getpid() != _PARENT_PID:
+        raise RuntimeError("worker chunk failed")
+    return _sweep_columns(Ks, ds, grid_size)
+
+
+def test_grid_sweep_raises_a_worker_exception(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_failing_in_workers)
+    with pytest.raises(RuntimeError, match="worker chunk failed"):
+        sup_bound_grid_sweep([0.0, 1.0], [1.0, 2.0, 3.0], 100)
+    # one chunk runs in this process only, so the same patch passes
+    assert sup_bound_grid_sweep([0.0, 1.0], [1.0], 100)[1, 0] == dense_grid_sup(1.0, 1.0, 100)
+
+
 def test_grid_sweep_validates_every_pair():
     with pytest.raises(ValueError):
         sup_bound_grid_sweep([0.0, math.nan], [1.0], 10)
@@ -141,6 +222,14 @@ def test_grid_oracle_allocates_no_full_grid_per_call():
     tracemalloc.start()
     try:
         sup_bound_grid_sweep(k_values, d_values, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # tracemalloc sees this process only; a forked worker runs _sweep_columns
+    tracemalloc.start()
+    try:
+        _sweep_columns(list(k_values), list(d_values), 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
