@@ -45,7 +45,6 @@ __all__ = [
     "FundamentalArc",
     "CurvatureDiameter",
     "ArcIntegrationError",
-    "SolitonPointCheck",
     "circle_shrinker",
     "first_integral",
     "find_abresch_langer",
@@ -153,22 +152,6 @@ class CurvatureDiameter:
 
     K0: float
     d: float
-
-
-@dataclass
-class SolitonPointCheck:
-    """Pointwise eigen-identity check on the flat model with f = lam |x|^2 / 2.
-
-    ``residuals_analytic`` evaluates the identity with shared float
-    intermediates (exact zero); ``residuals_fd`` replaces the derivatives
-    of f by central differences with step ``FD_STEP``.
-    """
-
-    n: int
-    lam: float
-    sample_points: np.ndarray
-    residuals_analytic: np.ndarray
-    residuals_fd: np.ndarray
 
 
 def circle_shrinker(lam: float, n_points: int) -> ShrinkerCurve:
@@ -445,15 +428,13 @@ def k0_and_diameter(curve: ShrinkerCurve) -> CurvatureDiameter:
     return CurvatureDiameter(K0=float((curve.curvatures**2).max()), d=0.5 * curve.length)
 
 
-def gaussian_soliton_check(n: int, lam: float, sample_points: np.ndarray) -> SolitonPointCheck:
-    """Check that f - n/2 is an eigenfunction with eigenvalue 2 lam.
+def gaussian_soliton_check(n: int, lam: float, sample_points: np.ndarray) -> np.ndarray:
+    """Residuals of f - n/2 as an eigenfunction with eigenvalue 2 lam.
 
     On flat n-space with f = lam |x|^2 / 2 the drift Laplacian gives
-    Lap f - |grad f|^2 = n lam - lam^2 |x|^2, so the defect
-    (n lam - 2 lam f) + 2 lam (f - n/2) cancels identically.  The
-    analytic residual shares the float intermediates of both halves, so
-    it is exactly 0.0; the finite-difference residual replaces the
-    derivatives by central differences with step FD_STEP.
+    Lap f - |grad f|^2 = n lam - lam^2 |x|^2 = -2 lam (f - n/2).  The
+    residual at each sample point replaces the derivatives of f by
+    central differences with step FD_STEP.
     """
     if n < 1:
         raise ValueError(f"dimension n must be >= 1, got {n}")
@@ -462,11 +443,6 @@ def gaussian_soliton_check(n: int, lam: float, sample_points: np.ndarray) -> Sol
     pts = np.atleast_2d(np.asarray(sample_points, dtype=np.float64))
     if pts.shape[1] != n:
         raise ValueError(f"sample points must have {n} coordinates, got {pts.shape[1]}")
-
-    f = 0.5 * lam * (pts**2).sum(axis=1)
-    u = lam * float(n)
-    v = 2.0 * lam * f
-    residuals_analytic = (u - v) + (v - u)
 
     h = FD_STEP
 
@@ -482,15 +458,7 @@ def gaussian_soliton_check(n: int, lam: float, sample_points: np.ndarray) -> Sol
         fp, fm = f_of(pts + e), f_of(pts - e)
         lap += (fp - 2.0 * fc + fm) / h**2
         grad_sq += ((fp - fm) / (2.0 * h)) ** 2
-    residuals_fd = (lap - grad_sq) + 2.0 * lam * (fc - 0.5 * n)
-
-    return SolitonPointCheck(
-        n=n,
-        lam=lam,
-        sample_points=pts,
-        residuals_analytic=residuals_analytic,
-        residuals_fd=residuals_fd,
-    )
+    return (lap - grad_sq) + 2.0 * lam * (fc - 0.5 * n)
 
 
 def write_curve_csv(curve: ShrinkerCurve, path) -> None:

@@ -6,19 +6,20 @@ is the Ornstein-Uhlenbeck generator
     L u = u'' - K x u'        on (-d/2, d/2),
 
 self-adjoint in L^2 of the invariant weight w(x) = exp(-K x^2 / 2), since
-L u = (w u')' / w.  ``discretize_ou`` builds a symmetric finite-volume
-pencil (stiffness, mass) for either boundary condition,
-``smallest_eigenvalues`` returns the bottom of its spectrum (eigenvalues
-only) by Sturm-sequence bisection, and
-``neumann_lambda1`` / ``dirichlet_lambda1`` wrap the solve in Richardson
-extrapolation over the cell count.
+L u = (w u')' / w.  A ``TridiagonalPencil`` is a link profile: positive
+conductances on the links of a path, positive masses on its unknowns and
+a boundary condition.  ``discretize_ou`` builds the OU problem's profile
+(conductances w/h, masses w h) as one instance, ``smallest_eigenvalues``
+returns the bottom of any profile's spectrum (eigenvalues only) by
+Sturm-sequence bisection, and ``neumann_lambda1`` / ``dirichlet_lambda1``
+wrap the OU solve in Richardson extrapolation over the cell count.
 
 Two structural facts make good cross-checks and are exploited by the test
 suite:
 
-  * at K = 0 both boundary conditions have first (nonzero) eigenvalue
-    pi^2/d^2, and the two discrete schemes reproduce the same value
-    4 sin^2(pi h / (2 d)) / h^2 at every resolution;
+  * the flat profile (conductances 1/h, masses h) has first (nonzero)
+    eigenvalue 4 sin^2(pi h / (2 d)) / h^2 for both boundary conditions,
+    which tends to pi^2/d^2, the first eigenvalue of L at K = 0;
   * differentiating a Neumann eigenfunction solves the Dirichlet problem
     with eigenvalue lowered by K, so lambda_1^D = lambda_1^N - K.
 """
@@ -26,7 +27,7 @@ suite:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -109,29 +110,30 @@ class OUProblem:
 class TridiagonalPencil:
     """Symmetric tridiagonal generalized pencil (S, M) with diagonal mass.
 
-    ``conductances`` holds the positive link weights the stiffness is
-    assembled from; ``diag`` and ``off`` are the resulting matrix entries.
-    For a Neumann pencil the links connect the n unknowns in a path
-    (n - 1 of them) and S annihilates constants by telescoping.  For a
-    Dirichlet pencil the two eliminated boundary values contribute the
-    first and last link, so there are n + 1 links.
+    The pencil is a link profile on a path of n unknowns: ``mass`` holds
+    the n positive masses (the diagonal of M) and ``conductances`` the
+    positive link weights the stiffness S is assembled from.  For a
+    Neumann pencil the links connect the unknowns (n - 1 of them) and S
+    annihilates constants by telescoping.  For a Dirichlet pencil two
+    eliminated boundary values of 0 add a first and a last link, so there
+    are n + 1.
     """
 
-    diag: np.ndarray
-    off: np.ndarray
-    mass: np.ndarray
     conductances: np.ndarray
+    mass: np.ndarray
     bc: str
-    nodes: np.ndarray = field(repr=False)
-    h: float = 0.0
 
     def __post_init__(self) -> None:
-        n = self.diag.shape[0]
+        if self.bc not in (NEUMANN, DIRICHLET):
+            raise ValueError(f"bc must be {NEUMANN!r} or {DIRICHLET!r}, got {self.bc!r}")
+        self.conductances = np.asarray(self.conductances, dtype=np.float64)
+        self.mass = np.asarray(self.mass, dtype=np.float64)
+        if self.conductances.ndim != 1 or self.mass.ndim != 1:
+            raise ValueError("conductances and mass must be 1-D arrays")
+        if not (np.isfinite(self.conductances).all() and np.isfinite(self.mass).all()):
+            raise ValueError("conductances and mass must be finite")
+        n = self.n
         expected_links = n - 1 if self.bc == NEUMANN else n + 1
-        if self.off.shape[0] != n - 1:
-            raise ValueError("off-diagonal length must be n - 1")
-        if self.mass.shape[0] != n or self.nodes.shape[0] != n:
-            raise ValueError("mass and nodes must have length n")
         if self.conductances.shape[0] != expected_links:
             raise ValueError(
                 f"{self.bc} pencil with {n} unknowns needs {expected_links} links, "
@@ -144,7 +146,7 @@ class TridiagonalPencil:
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self.mass.shape[0]
 
 
 def _weight(K: float, d: float, x: np.ndarray) -> np.ndarray:
@@ -163,12 +165,12 @@ def _weight(K: float, d: float, x: np.ndarray) -> np.ndarray:
 def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     """Symmetric finite-volume discretization of L on (-d/2, d/2).
 
-    Neumann: unknowns at the m cell centers, link conductances
-    w(face)/h at the m - 1 interior faces, no flux through the boundary
-    faces, masses w(center) h.  Dirichlet: unknowns at the m - 1 interior
-    grid points, link conductances w(midpoint)/h at the m midpoints, with
-    the boundary values eliminated (their links fold into the first and
-    last diagonal entry), masses w(node) h.
+    The m cell centres and the m - 1 interior faces of the uniform grid
+    h = d / m are two staggered grids.  Neumann puts the unknowns on the
+    centres and the links on the faces (no flux through the boundary
+    faces); Dirichlet puts the unknowns on the faces and the links on the
+    centres (the boundary values are eliminated).  Either way a link at
+    x has conductance w(x)/h and an unknown at x has mass w(x) h.
 
     Both schemes discretize the Dirichlet form integral(u' v' w dx) to
     second order; the stiffness is positive semidefinite by construction.
@@ -178,24 +180,11 @@ def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     h = d / m
     # centered index coordinates: x = (i - center) h is exactly odd under
     # i -> (last - i), so the weight arrays are exactly reflection-symmetric
-    if problem.bc == NEUMANN:
-        nodes = (np.arange(m) - 0.5 * (m - 1)) * h
-        links = (np.arange(1, m) - 0.5 * m) * h
-        cond = _weight(K, d, links) / h
-        mass = _weight(K, d, nodes) * h
-        diag = np.zeros(m)
-        diag[:-1] += cond
-        diag[1:] += cond
-        off = -cond
-    else:
-        nodes = (np.arange(1, m) - 0.5 * m) * h
-        links = (np.arange(m) - 0.5 * (m - 1)) * h
-        cond = _weight(K, d, links) / h
-        mass = _weight(K, d, nodes) * h
-        diag = cond[:-1] + cond[1:]
-        off = -cond[1:-1]
+    centres = (np.arange(m) - 0.5 * (m - 1)) * h
+    faces = (np.arange(1, m) - 0.5 * m) * h
+    nodes, links = (centres, faces) if problem.bc == NEUMANN else (faces, centres)
     return TridiagonalPencil(
-        diag=diag, off=off, mass=mass, conductances=cond, bc=problem.bc, nodes=nodes, h=h
+        conductances=_weight(K, d, links) / h, mass=_weight(K, d, nodes) * h, bc=problem.bc
     )
 
 
@@ -220,10 +209,11 @@ def stiffness_apply(pencil: TridiagonalPencil, u: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized_tridiag(pencil: TridiagonalPencil) -> tuple[np.ndarray, np.ndarray]:
-    """Standard form T = M^{-1/2} S M^{-1/2} of the pencil."""
+    """Standard form T = M^{-1/2} S M^{-1/2} of a Dirichlet pencil."""
+    c = pencil.conductances
     inv_sqrt = 1.0 / np.sqrt(pencil.mass)
-    diag = pencil.diag * inv_sqrt**2
-    off = pencil.off * inv_sqrt[:-1] * inv_sqrt[1:]
+    diag = (c[:-1] + c[1:]) * inv_sqrt**2
+    off = -c[1:-1] * inv_sqrt[:-1] * inv_sqrt[1:]
     return diag, off
 
 
@@ -237,15 +227,16 @@ def _flux_tridiag(pencil: TridiagonalPencil) -> tuple[np.ndarray, np.ndarray]:
     this matrix resolves lambda_1 without fighting the null mode.
 
     The product c_i c_{i+1} leaves the float range once a conductance
-    passes e^{+-354}.  The conductances are w/h with w centred by
-    ``_weight``, so scaled by the power of two nearest h they span only
-    about e^{-E/2}..e^{E/2}, and their product stays in range up to the
-    guard; the scaling is exact, so the geometric mean rounds as the
-    unscaled one does wherever that stays in range.
+    passes e^{+-354}.  Divided by the power of two at the middle of
+    their exponent range, conductances spanning a ratio R lie within
+    about sqrt(R) of 1 either way (for OU, whose w is centred by
+    ``_weight``, about e^{-E/2}..e^{E/2}), so their products stay in
+    range up to the guard.  The scaling is exact, so the geometric mean
+    rounds as the unscaled one does wherever that stays in range.
     """
     c = pencil.conductances
     inv_mass = 1.0 / pencil.mass
-    unit = 2.0 ** math.frexp(pencil.h)[1]
+    unit = math.ldexp(1.0, -((math.frexp(c.max())[1] + math.frexp(c.min())[1]) // 2))
     scaled = c * unit
     diag = c * (inv_mass[:-1] + inv_mass[1:])
     off = -np.sqrt(scaled[:-1] * scaled[1:]) / unit * inv_mass[1:-1]
@@ -290,24 +281,26 @@ def raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
     return float(smallest_eigenvalues(pencil, count=count)[-1])
 
 
+def _richardson_lambda1(K: float, d: float, m: int, bc: str) -> float:
+    """Solves at m and 2m cells and returns (4 lam_{2m} - lam_m) / 3,
+    which cancels the leading h^2 error of the finite-volume scheme."""
+    coarse = raw_lambda1(K, d, m, bc)
+    fine = raw_lambda1(K, d, 2 * m, bc)
+    return (4.0 * fine - coarse) / 3.0
+
+
 def neumann_lambda1(K: float, d: float, m: int = 2000) -> float:
     """First nonzero Neumann eigenvalue of L, Richardson-extrapolated.
 
-    Solves at m and 2m cells and returns (4 lam_{2m} - lam_m) / 3, which
-    cancels the leading h^2 error of the finite-volume scheme.  The zero
-    mode is deflated exactly (see ``smallest_eigenvalues``), so it is not
-    part of either solve.
+    The zero mode is deflated exactly (see ``smallest_eigenvalues``), so
+    it is not part of either solve.
     """
-    coarse = raw_lambda1(K, d, m, NEUMANN)
-    fine = raw_lambda1(K, d, 2 * m, NEUMANN)
-    return (4.0 * fine - coarse) / 3.0
+    return _richardson_lambda1(K, d, m, NEUMANN)
 
 
 def dirichlet_lambda1(K: float, d: float, m: int = 2000) -> float:
     """Smallest Dirichlet eigenvalue of L, Richardson-extrapolated."""
-    coarse = raw_lambda1(K, d, m, DIRICHLET)
-    fine = raw_lambda1(K, d, 2 * m, DIRICHLET)
-    return (4.0 * fine - coarse) / 3.0
+    return _richardson_lambda1(K, d, m, DIRICHLET)
 
 
 def verify_comparison(K: float, d: float, m: int = 2000) -> VerificationReport:
