@@ -67,9 +67,9 @@ from wittengap.sturm import (
     TridiagonalPencil,
     dirichlet_lambda1,
     discretize_ou,
+    lowest_eigenvalue,
     neumann_lambda1,
     raw_lambda1,
-    smallest_eigenvalues,
     verify_comparison,
 )
 
@@ -107,6 +107,7 @@ __all__ = [
     "gaussian_soliton_check",
     "k0_and_diameter",
     "lambda1_witten",
+    "lowest_eigenvalue",
     "make_report",
     "mean_curvature_identity_residual",
     "neumann_lambda1",
@@ -114,7 +115,6 @@ __all__ = [
     "raw_lambda1",
     "shrinker_diameter_bound",
     "shrinker_diameter_bound_sup",
-    "smallest_eigenvalues",
     "soliton_diameter_bounds",
     "soliton_optimal_s",
     "sup_bound_branch",

@@ -9,10 +9,20 @@ self-adjoint in L^2 of the invariant weight w(x) = exp(-K x^2 / 2), since
 L u = (w u')' / w.  A ``TridiagonalPencil`` is a link profile: positive
 conductances on the links of a path, positive masses on its unknowns and
 a boundary condition.  ``discretize_ou`` builds the OU problem's profile
-(conductances w/h, masses w h) as one instance, ``smallest_eigenvalues``
-returns the bottom of any profile's spectrum (eigenvalues only) by
-Sturm-sequence bisection, and ``neumann_lambda1`` / ``dirichlet_lambda1``
-wrap the OU solve in Richardson extrapolation over the cell count.
+(conductances w/h, masses w h) as one instance, ``lowest_eigenvalue``
+returns the first (nonzero) eigenvalue of any profile, and
+``neumann_lambda1`` / ``dirichlet_lambda1`` wrap the OU solve in
+Richardson extrapolation over the cell count.
+
+Both conditions are solved by one routine: inverse iteration on the
+path's explicit Green's function, which is entrywise positive.  A
+Dirichlet pencil is solved as it stands.  A Neumann pencil is solved as
+its dual on the links, a Dirichlet pencil whose resistances are the
+masses and whose masses are the inverse conductances: it has the
+Neumann pencil's nonzero spectrum and no zero mode.  The Green's
+function's entries and every step are sums and products of positive
+numbers, nothing is formed by cancellation, so even an eigenvalue far
+below eps times the matrix norm comes out to relative accuracy.
 
 Two structural facts make good cross-checks and are exploited by the test
 suite:
@@ -30,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .bounds import BoundInput, andrews_ni_bound, futaki_sano_bound, sup_bound_closed
 from .report import VerificationReport, make_report
@@ -38,11 +47,12 @@ from .report import VerificationReport, make_report
 __all__ = [
     "MeasureUnderflowError",
     "CellWidthError",
+    "IterationCapError",
     "OUProblem",
     "TridiagonalPencil",
     "discretize_ou",
     "stiffness_apply",
-    "smallest_eigenvalues",
+    "lowest_eigenvalue",
     "raw_lambda1",
     "neumann_lambda1",
     "dirichlet_lambda1",
@@ -55,12 +65,24 @@ TOL_COMPARE_REL = 1e-5
 # exp arguments beyond this over/underflow in float64 (exp(709.8) ~ 1.8e308)
 EXPONENT_GUARD = 700.0
 
-# smallest cell width h = d / m the solver takes.  The pencil entries scale
-# like 1/h^2, and LAPACK's bisection (stebz) squares the off-diagonal, so
-# that must stay below 2^512.  Within the exponent guard and m >= 8 the
-# off-diagonal is at most about e^(E/m^2) <= 2^16 times 1/h^2 (E the guarded
-# exponent), which puts the limit near h = 2^-248; this keeps 8 bits more.
+# smallest cell width h = d / m the solver takes.  The Green's function
+# scales like h^2, and an eigenvector's tail lies up to about e^(-E/2)
+# below its top (E the guarded exponent), so the smallest products the
+# inverse iteration forms are about h^2 e^(-E/2).  Within the exponent
+# guard they stay normal down to h = 2^-266 at m = 8 and 2^-384 at
+# m = 2000; this keeps 26 bits more.
 MIN_CELL_WIDTH = 2.0**-240
+
+# inverse-iteration steps before ``IterationCapError``; the criterion-01
+# box takes at most 19 (Dirichlet) and 14 (Neumann) at m = 2000 and 4000
+ITERATION_CAP = 100
+
+# the iterate is held at least this far below its largest entry: lower
+# tails would form subnormal products, and lifting them moves the
+# Rayleigh quotient by about n TAIL_FLOOR^2 relative
+TAIL_FLOOR = 2.0**-128
+
+_EPS = float(np.finfo(np.float64).eps)
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -72,6 +94,10 @@ class MeasureUnderflowError(ValueError):
 
 class CellWidthError(ValueError):
     """The cell width d / m is too small for the 1/h^2 pencil to stay in range."""
+
+
+class IterationCapError(RuntimeError):
+    """Inverse iteration did not settle within ``ITERATION_CAP`` steps."""
 
 
 @dataclass(frozen=True)
@@ -208,77 +234,84 @@ def stiffness_apply(pencil: TridiagonalPencil, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetrized_tridiag(pencil: TridiagonalPencil) -> tuple[np.ndarray, np.ndarray]:
-    """Standard form T = M^{-1/2} S M^{-1/2} of a Dirichlet pencil."""
-    c = pencil.conductances
-    inv_sqrt = 1.0 / np.sqrt(pencil.mass)
-    diag = (c[:-1] + c[1:]) * inv_sqrt**2
-    off = -c[1:-1] * inv_sqrt[:-1] * inv_sqrt[1:]
-    return diag, off
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Cumulative sums of x, each within about one rounding of exact.
 
-
-def _flux_tridiag(pencil: TridiagonalPencil) -> tuple[np.ndarray, np.ndarray]:
-    """Exact deflation of the Neumann null mode via the flux transform.
-
-    With S = B^T C B (B the signed incidence of the path, C the link
-    conductances), the nonzero spectrum of (S, M) equals the full
-    spectrum of the symmetric tridiagonal C^{1/2} B M^{-1} B^T C^{1/2}
-    on the n - 1 links.  Nothing near zero survives, so bisection on
-    this matrix resolves lambda_1 without fighting the null mode.
-
-    The product c_i c_{i+1} leaves the float range once a conductance
-    passes e^{+-354}.  Divided by the power of two at the middle of
-    their exponent range, conductances spanning a ratio R lie within
-    about sqrt(R) of 1 either way (for OU, whose w is centred by
-    ``_weight``, about e^{-E/2}..e^{E/2}), so their products stay in
-    range up to the guard.  The scaling is exact, so the geometric mean
-    rounds as the unscaled one does wherever that stays in range.
+    A plain running sum of n terms drifts by up to n roundings, and on
+    a flat profile it does so systematically.  Knuth's TwoSum recovers
+    the rounding error of every partial sum exactly; adding their running
+    sum back leaves an error of order n eps^2.
     """
-    c = pencil.conductances
-    inv_mass = 1.0 / pencil.mass
-    unit = math.ldexp(1.0, -((math.frexp(c.max())[1] + math.frexp(c.min())[1]) // 2))
-    scaled = c * unit
-    diag = c * (inv_mass[:-1] + inv_mass[1:])
-    off = -np.sqrt(scaled[:-1] * scaled[1:]) / unit * inv_mass[1:-1]
-    return diag, off
+    s = np.cumsum(x)
+    part = s[1:] - s[:-1]
+    error = (s[:-1] - (s[1:] - part)) + (x[1:] - part)
+    s[1:] += np.cumsum(error)
+    return s
 
 
-def smallest_eigenvalues(pencil: TridiagonalPencil, count: int = 2) -> np.ndarray:
-    """The ``count`` smallest eigenvalues of S v = lam M v, ascending.
+def _lowest(resistances: np.ndarray, masses: np.ndarray, start: np.ndarray) -> float:
+    """Smallest eigenvalue of a Dirichlet path pencil, by inverse iteration.
 
-    The pencil is reduced to a standard symmetric tridiagonal problem by
-    the mass similarity and solved by bisection with Sturm-sequence
-    counts (LAPACK stebz).  A Neumann pencil has the constant function in
-    its kernel by construction, so its zero eigenvalue is deflated exactly
-    through the flux transform and reported as 0.0; the remaining
-    eigenvalues are computed from the deflated matrix.
+    The path has n unknowns with positive ``masses`` and n + 1 links with
+    positive ``resistances`` (inverse conductances); both ends are held at
+    0.  The stiffness inverse is the path's Green's function
+    G_ij = P_min(i,j) Q_max(i,j) / P_tot, where P_i and Q_i are the
+    resistances to the left and to the right of unknown i and P_tot
+    their sum.  So A = M^{1/2} G M^{1/2} has A_ij = a_min(i,j) b_max(i,j)
+    with a = M^{1/2} P / sqrt(P_tot) and b = M^{1/2} Q / sqrt(P_tot), and
+    A z costs two cumulative sums.  A is invariant under a common scale
+    of the conductances and masses, and the iterate is normalized by its
+    largest entry, so a power-of-two scale of both changes no bit.
+
+    The Schwarz quotient z.z / z.Az of the power iteration z <- A z is
+    nonincreasing and bounds the eigenvalue from above; the iteration
+    stops once it falls by at most 4 eps relative, a test that needs no
+    product of eps with a possibly tiny eigenvalue.
     """
-    n = pencil.n
-    if not 1 <= count <= n:
-        raise ValueError(f"count must be in [1, {n}], got {count}")
-    if pencil.bc == NEUMANN:
-        if count == 1:
-            return np.array([0.0])
-        diag, off = _flux_tridiag(pencil)
-        w = eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, count - 2)
-        )
-        return np.concatenate(([0.0], w))
-    diag, off = _symmetrized_tridiag(pencil)
-    return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, count - 1)
+    cum = _prefix_sums(resistances)
+    scale = np.sqrt(masses) / math.sqrt(cum[-1])
+    a = cum[:-1] * scale
+    b = _prefix_sums(resistances[:0:-1])[::-1] * scale
+    w = start
+    lam = math.inf
+    for _ in range(ITERATION_CAP):
+        top = w.max()
+        z = np.maximum(w, TAIL_FLOOR * top) / top
+        right = np.cumsum((b * z)[::-1])[::-1]
+        w = b * np.cumsum(a * z)
+        w[:-1] += a[:-1] * right[1:]
+        quotient = (z @ z) / (z @ w)
+        if quotient >= lam * (1.0 - 4.0 * _EPS):
+            return float(min(quotient, lam))
+        lam = quotient
+    raise IterationCapError(
+        f"inverse iteration on {masses.shape[0]} unknowns did not settle "
+        f"in {ITERATION_CAP} steps (last quotient {lam!r})"
     )
 
 
-def raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
-    """First nonzero eigenvalue of L on m cells, without extrapolation.
+def lowest_eigenvalue(pencil: TridiagonalPencil) -> float:
+    """First nonzero eigenvalue of S v = lam M v for Neumann, smallest for Dirichlet.
 
-    For Neumann this is the eigenvalue after the zero mode, which the
-    flux transform deflates exactly; for Dirichlet it is the smallest.
+    A Neumann pencil is solved as its dual on the links (resistances =
+    masses, masses = 1 / conductances), whose spectrum is the Neumann
+    pencil's without the zero mode.  The starts are given in the
+    symmetric variable z = M^{1/2} v.  A Dirichlet pencil starts from
+    z = 1.  The dual starts from the fluxes c h of u = x, which are
+    z = h sqrt(c): close to the first mode where the next eigenvalue is
+    only twice as large and power steps are slowest.
     """
-    pencil = discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc))
-    count = 2 if bc == NEUMANN else 1
-    return float(smallest_eigenvalues(pencil, count=count)[-1])
+    c = pencil.conductances
+    if pencil.n < (2 if pencil.bc == NEUMANN else 1):
+        raise ValueError(f"a {pencil.bc} pencil with {pencil.n} unknowns has no such eigenvalue")
+    if pencil.bc == NEUMANN:
+        return _lowest(pencil.mass, 1.0 / c, np.sqrt(c))
+    return _lowest(1.0 / c, pencil.mass, np.ones(pencil.n))
+
+
+def raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
+    """First nonzero eigenvalue of L on m cells, without extrapolation."""
+    return lowest_eigenvalue(discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc)))
 
 
 def _richardson_lambda1(K: float, d: float, m: int, bc: str) -> float:
@@ -292,8 +325,8 @@ def _richardson_lambda1(K: float, d: float, m: int, bc: str) -> float:
 def neumann_lambda1(K: float, d: float, m: int = 2000) -> float:
     """First nonzero Neumann eigenvalue of L, Richardson-extrapolated.
 
-    The zero mode is deflated exactly (see ``smallest_eigenvalues``), so
-    it is not part of either solve.
+    Both solves are on the dual pencil (see ``lowest_eigenvalue``), which
+    has no zero mode.
     """
     return _richardson_lambda1(K, d, m, NEUMANN)
 

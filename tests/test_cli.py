@@ -195,6 +195,19 @@ def test_ou_check_shift(capsys):
     assert obj["shift_defect_rel"] <= obj["shift_defect"]
 
 
+def test_ou_corner_of_the_box_prints_positive_eigenvalues(capsys):
+    # at K = -10, d = 20 the Neumann value is about 1.8e-215; LAPACK
+    # bisection printed round-off noise of either sign here
+    rc, out, _ = run_cli(capsys, "ou", "--K", "-10", "--d", "20", "--check-shift")
+    assert rc == 0
+    obj = json.loads(out)
+    assert 0.0 < obj["lambda_neumann"] < 1e-200
+    assert obj["lambda_dirichlet"] == pytest.approx(10.0, rel=1e-8)
+    rc, out, _ = run_cli(capsys, "ou", "--verify", "--K", "-10", "--d", "20")
+    assert rc == 0
+    assert json.loads(out)["computed"]["lambda1_ou"] > 0.0
+
+
 @pytest.mark.parametrize("bc", ["both", "neumann", "dirichlet"])
 def test_ou_check_shift_solves_each_problem_once(capsys, monkeypatch, bc):
     calls = count_calls(monkeypatch, [cli], ["neumann_lambda1", "dirichlet_lambda1"])

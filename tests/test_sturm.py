@@ -14,23 +14,26 @@ from wittengap.sturm import (
     MIN_CELL_WIDTH,
     NEUMANN,
     CellWidthError,
+    IterationCapError,
     MeasureUnderflowError,
     OUProblem,
     TridiagonalPencil,
     dirichlet_lambda1,
     discretize_ou,
+    lowest_eigenvalue,
     neumann_lambda1,
     raw_lambda1,
-    smallest_eigenvalues,
     stiffness_apply,
     verify_comparison,
 )
 
+EPS = np.finfo(float).eps
+
 # frozen Richardson-extrapolated values at the default m = 2000
-LAMBDA_N_FLAT_D2 = 2.467401100632413  # exact continuum value pi^2 / 4
-LAMBDA_N_K1_D2 = 2.999999999645466  # exact continuum value 3 (eigenfunction x^3 - 3x)
-LAMBDA_D_K1_D2 = 1.999999999207197  # exact continuum value 2 (shift of the above)
-LAMBDA_N_KM2_DPI = 0.305741691256967
+LAMBDA_N_FLAT_D2 = 2.4674011002723244  # exact continuum value pi^2 / 4
+LAMBDA_N_K1_D2 = 2.9999999999999702  # exact continuum value 3 (eigenfunction x^3 - 3x)
+LAMBDA_D_K1_D2 = 2.0000000000000084  # exact continuum value 2 (shift of the above)
+LAMBDA_N_KM2_DPI = 0.30574169068301194  # continuum (Kummer) value 0.3057416906829848
 # raw full-spectrum value on the flux-transformed matrix at m = 8001
 LAMBDA_RAW_K1_D2_M8001 = 2.999999952340
 
@@ -65,22 +68,25 @@ def _flat_profile(d, m, bc):
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
-@pytest.mark.parametrize("m", [8, 64, 1000])
+@pytest.mark.parametrize("m", [8, 64, 1000, 4000, 10000])
 def test_hand_built_flat_profile_gives_the_discrete_value(bc, m):
     # the path Laplacian's first (nonzero) eigenvalue, for either condition,
-    # to bisection accuracy: a few eps times the matrix norm 4 / h^2
+    # to a few eps relative, although it lies (m / pi)^2 below the matrix
+    # norm 4 / h^2; the per-step running sums are not compensated and
+    # drift to about 18 eps at m = 10^5
     d = 2.5
     h = d / m
     exact = 4.0 * math.sin(math.pi * h / (2.0 * d)) ** 2 / h**2
-    lam = smallest_eigenvalues(_flat_profile(d, m, bc), count=2 if bc == NEUMANN else 1)[-1]
-    assert abs(lam - exact) <= 2.0 * np.finfo(float).eps * 4.0 / h**2
+    lam = lowest_eigenvalue(_flat_profile(d, m, bc))
+    assert abs(lam - exact) <= 5.0 * EPS * exact
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
 @pytest.mark.parametrize("power", [600, -600])
 def test_common_profile_scale_leaves_the_spectrum_bit_identical(bc, power):
     # S v = lam M v is invariant under scaling S and M by one power of two;
-    # at 2^+-600 the products c_i c_{i+1} leave the float range unscaled
+    # at 2^+-600 a mass times a resistance is still 1 / h^2 in range, but
+    # the masses and resistances themselves are far out of scale
     for pen in (_flat_profile(3.0, 200, bc), discretize_ou(OUProblem(K=-40.0, d=3.0, m=200, bc=bc))):
         scaled = TridiagonalPencil(
             conductances=np.ldexp(pen.conductances, power),
@@ -88,9 +94,37 @@ def test_common_profile_scale_leaves_the_spectrum_bit_identical(bc, power):
             bc=bc,
         )
         with np.errstate(over="raise", under="raise", invalid="raise"):
-            expected = smallest_eigenvalues(pen, count=4)
-            got = smallest_eigenvalues(scaled, count=4)
-        assert got.tobytes() == expected.tobytes()
+            expected = lowest_eigenvalue(pen)
+            got = lowest_eigenvalue(scaled)
+        assert got == expected
+
+
+def test_neumann_pencil_and_its_dual_give_the_same_bits():
+    # the Neumann pencil (c, mu) has the nonzero spectrum of the Dirichlet
+    # pencil on its links with conductances 1 / mu and masses 1 / c; with
+    # powers of two every reciprocal is exact and both start from z = 1
+    rng = np.random.default_rng(7)
+    n = 300
+    mass = np.ldexp(1.0, rng.integers(-20, 20, n))
+    neumann = TridiagonalPencil(conductances=np.full(n - 1, 2.0**5), mass=mass, bc=NEUMANN)
+    dual = TridiagonalPencil(conductances=1.0 / mass, mass=np.full(n - 1, 2.0**-5), bc=DIRICHLET)
+    assert lowest_eigenvalue(neumann) == lowest_eigenvalue(dual)
+    # on the OU profile the two solves differ in their starts and reciprocals only
+    pen = discretize_ou(OUProblem(K=3.0, d=2.0, m=500, bc=NEUMANN))
+    dual = TridiagonalPencil(conductances=1.0 / pen.mass, mass=1.0 / pen.conductances, bc=DIRICHLET)
+    assert lowest_eigenvalue(dual) == pytest.approx(lowest_eigenvalue(pen), rel=50 * EPS)
+
+
+def test_iteration_cap_raises_by_name():
+    # two wells joined by a 1e12 resistance, one 1 % heavier: the two lowest
+    # eigenvalues differ by about 1 %, so power steps gain about 2 % each
+    n = 40
+    conductances = np.ones(n + 1)
+    conductances[n // 2] = 1e-12
+    mass = np.where(np.arange(n) < n // 2, 1.0, 1.01)
+    pen = TridiagonalPencil(conductances=conductances, mass=mass, bc=DIRICHLET)
+    with pytest.raises(IterationCapError, match="did not settle"):
+        lowest_eigenvalue(pen)
 
 
 def _profile(n_links, n_mass, bc):
@@ -134,18 +168,45 @@ def test_pencil_rejects_wrong_link_count_and_signs():
         TridiagonalPencil(**profile)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="bisection on the flux and symmetrized forms is accurate only to "
-    "eps ||T|| in absolute terms; a relative-accuracy solver is still open",
-)
 @pytest.mark.parametrize(
     "K, d, m, bc", [(-10.0, 5.0, 2000, NEUMANN), (3.125, 16.0, 16, DIRICHLET)]
 )
 def test_roundoff_level_eigenvalue_is_positive(K, d, m, bc):
     # the pencil is positive semidefinite, with its Neumann zero mode
-    # deflated; these raw values come out as -7.2e-12 and -1.6e-12
+    # outside the dual solve; LAPACK bisection gave -7.2e-12 and -1.6e-12
     assert raw_lambda1(K, d, m, bc) > 0.0
+
+
+def _kummer_lambda1(K, d, guess):
+    # continuum lambda_1: the odd solution u = x 1F1((K - lam)/(2K); 3/2; K x^2 / 2)
+    # of u'' - K x u' = -lam u with u'(d/2) = 0
+    import mpmath
+
+    with mpmath.workdps(40 + int(abs(K) * d * d / 8)):
+        K, x = mpmath.mpf(K), mpmath.mpf(d) / 2
+
+        def slope(lam):
+            a = (K - lam) / (2 * K)
+            z = K * x * x / 2
+            return mpmath.hyp1f1(a, 1.5, z) + a / 1.5 * mpmath.hyp1f1(a + 1, 2.5, z) * K * x * x
+
+        lam = mpmath.findroot(slope, (0.99 * mpmath.mpf(guess), 1.01 * mpmath.mpf(guess)))
+        return float(lam)
+
+
+@pytest.mark.parametrize(
+    "K, d, rel",
+    [
+        (1.0, 2.0, 1e-13),  # exact value 3
+        (-10.0, 5.0, 1e-8),  # 1.663129019e-12, far below eps ||T||
+        (-10.0, 8.0, 1e-6),  # 1.81002e-33
+    ],
+)
+def test_relative_accuracy_against_the_kummer_root(K, d, rel):
+    # the residual is the h^4 error left by Richardson, which grows with
+    # |K| d^2; bisection's eps ||T|| noise was about 1e-11 absolute here
+    lam = neumann_lambda1(K, d)
+    assert lam == pytest.approx(_kummer_lambda1(K, d, lam), rel=rel)
 
 
 def test_neumann_annihilates_constants_exactly():
@@ -163,28 +224,43 @@ def _dense_matrices(pen):
     return S, np.diag(pen.mass)
 
 
-@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
-def test_dense_oracle_matches_sturm_solver(bc):
-    # independent route: assemble the dense pencil and use numpy eigvalsh
-    pen = discretize_ou(OUProblem(K=2.0, d=3.0, m=301, bc=bc))
+def _dense_oracle(pen):
+    # assemble the dense pencil and use numpy eigvalsh on M^-1/2 S M^-1/2
     S, M = _dense_matrices(pen)
     inv_sqrt = np.diag(1.0 / np.sqrt(np.diag(M)))
-    dense = np.linalg.eigvalsh(inv_sqrt @ S @ inv_sqrt)
-    values = smallest_eigenvalues(pen, count=4)
-    np.testing.assert_allclose(values, dense[:4], rtol=1e-10, atol=1e-10)
+    return np.linalg.eigvalsh(inv_sqrt @ S @ inv_sqrt)
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+def test_dense_oracle_matches_sturm_solver(bc):
+    pen = discretize_ou(OUProblem(K=2.0, d=3.0, m=301, bc=bc))
+    dense = _dense_oracle(pen)
+    expected = dense[1] if bc == NEUMANN else dense[0]
+    assert lowest_eigenvalue(pen) == pytest.approx(expected, rel=1e-10, abs=1e-10)
+
+
+def _flux_tridiag(pen):
+    # the flux transform C^1/2 B M^-1 B^T C^1/2 of a Neumann pencil: its
+    # spectrum is the pencil's without the zero mode
+    c, inv_mass = pen.conductances, 1.0 / pen.mass
+    diag = c * (inv_mass[:-1] + inv_mass[1:])
+    off = -np.sqrt(c[:-1] * c[1:]) * inv_mass[1:-1]
+    return diag, off
 
 
 def test_full_spectrum_second_route_at_fine_mesh():
-    # raw (non-extrapolated) lambda_1 for K = 1, d = 2 at m = 8001 via the
-    # QR driver on the whole deflated matrix, frozen against the bisection path
+    # raw (non-extrapolated) lambda_1 for K = 1, d = 2 at m = 8001 by two
+    # LAPACK routes on the flux-transformed matrix: QR (sterf) on the
+    # whole spectrum (frozen) and Sturm-sequence bisection for the lowest
     pen = discretize_ou(OUProblem(K=1.0, d=2.0, m=8001, bc=NEUMANN))
-    from wittengap.sturm import _flux_tridiag
-
     diag, off = _flux_tridiag(pen)
-    w = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")
-    assert w[0] == pytest.approx(LAMBDA_RAW_K1_D2_M8001, abs=1e-9)
-    # bisection and QR agree to cross-algorithm accuracy at n = 8000
-    assert smallest_eigenvalues(pen, count=2)[1] == pytest.approx(w[0], abs=1e-7)
+    qr = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="sterf")[0]
+    bisection = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))[0]
+    assert qr == pytest.approx(LAMBDA_RAW_K1_D2_M8001, abs=1e-9)
+    # all three agree to the LAPACK routes' eps ||T|| accuracy at n = 8000
+    lam = lowest_eigenvalue(pen)
+    assert lam == pytest.approx(qr, abs=1e-7)
+    assert lam == pytest.approx(bisection, abs=1e-7)
 
 
 def test_frozen_extrapolated_values():
@@ -229,11 +305,14 @@ def test_shift_identity_property(K, d):
 
 
 def test_neumann_zero_mode_is_structural():
+    # the dual solve never sees the constant mode: it returns the dense
+    # pencil's second eigenvalue, not its round-off-level first
     pen = discretize_ou(OUProblem(K=4.0, d=2.0, m=500, bc=NEUMANN))
-    values = smallest_eigenvalues(pen, count=3)
-    assert values[0] == 0.0
-    # the deflated matrix keeps the rest of the spectrum away from zero
-    assert values[1] > 1e-3
+    dense = _dense_oracle(pen)
+    assert abs(dense[0]) <= 1e-8
+    lam = lowest_eigenvalue(pen)
+    assert lam > 1e-3
+    assert lam == pytest.approx(dense[1], rel=1e-10)
 
 
 def test_measure_underflow_guard():
@@ -280,12 +359,29 @@ def test_tiny_interval_is_rejected_by_name(solve, d, m):
         solve(0.0, d, m)
 
 
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("m", [2000, 4000])
+def test_whole_box_solves_under_raised_float_errors(bc, m):
+    # every criterion-01 pair, at both Richardson resolutions: no overflow,
+    # underflow or invalid operation, and a positive eigenvalue of the
+    # positive (semi)definite pencil, down to about 1.8e-215 at |K| d^2 = 4000
+    lams = []
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        for K in np.linspace(-10.0, 10.0, 50):
+            for d in np.linspace(0.1, 20.0, 50):
+                lams.append(raw_lambda1(float(K), float(d), m, bc))
+    lams = np.array(lams)
+    assert np.isfinite(lams).all()
+    assert (lams > 0.0).all()
+
+
 def test_negative_curvature_corner_of_the_box():
     # K = -10, d = 20 is a corner of the criterion-01 box; the weight
-    # spans e^500 there, so c_i c_{i+1} spans e^1000
+    # spans e^500 there and lambda_1 is about 1.8e-215
     rep = verify_comparison(-10.0, 20.0)
     assert rep.passed
     assert math.isfinite(rep.computed["lambda1_ou"])
+    assert rep.computed["lambda1_ou"] > 0.0
 
 
 def test_problem_validation():
@@ -295,9 +391,10 @@ def test_problem_validation():
         OUProblem(K=0.0, d=1.0, m=4)
     with pytest.raises(ValueError):
         OUProblem(K=0.0, d=1.0, m=100, bc="robin")
-    pen = discretize_ou(OUProblem(K=0.0, d=1.0, m=100))
-    with pytest.raises(ValueError):
-        smallest_eigenvalues(pen, count=0)
+    # one unknown: a Neumann pencil has only its zero mode
+    pen = TridiagonalPencil(conductances=np.ones(0), mass=np.ones(1), bc=NEUMANN)
+    with pytest.raises(ValueError, match="no such eigenvalue"):
+        lowest_eigenvalue(pen)
 
 
 def test_verify_comparison_report():
