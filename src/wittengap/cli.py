@@ -645,17 +645,26 @@ def case_gaussian(cfg: RunConfig) -> VerificationReport:
 
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
     """All certification cases, sorted by case id.  Each complex is built
-    and solved once; the round icosphere also carries the height weights."""
+    and solved once; the round icosphere also carries the height weights.
+    The height a = 0 multiplies by exp(-0) = 1, so its weighted complex is
+    bitwise the round sphere and reuses that solve."""
     reports = [case_closed_vs_grid(cfg), case_soliton_constants(cfg), case_comparison_grid(cfg)]
     # built after the s-grid cases: the icosphere build leaves heap behind
     # that raised the suite's peak RSS by 9 MB when it came first
     circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
     sphere = build_icosphere(cfg.sphere_subdivisions)
-    heights = {a: apply_weight(sphere, a * sphere.vertices[:, 2]) for a in HEIGHT_COEFFICIENTS}
+    heights = {
+        a: apply_weight(sphere, a * sphere.vertices[:, 2]) if a else sphere
+        for a in HEIGHT_COEFFICIENTS
+    }
+    reports += [case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()]
+    round_res = lambda1_witten(sphere)
     reports += [
-        *[case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()],
-        case_sphere_round(cfg, sphere, lambda1_witten(sphere)),
-        *[case_sphere_height(cfg, a, w, lambda1_witten(w)) for a, w in heights.items()],
+        case_sphere_round(cfg, sphere, round_res),
+        *[
+            case_sphere_height(cfg, a, w, lambda1_witten(w) if a else round_res)
+            for a, w in heights.items()
+        ],
         case_weight_shift(cfg),
         case_circle_shrinker(circle_shrinker(1.0, cfg.circle_n)),
         case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),

@@ -24,6 +24,12 @@ function's entries and every step are sums and products of positive
 numbers, nothing is formed by cancellation, so even an eigenvalue far
 below eps times the matrix norm comes out to relative accuracy.
 
+A path whose resistances and masses are both reflection-symmetric, as
+every ``discretize_ou`` profile is bitwise, has an even ground state.
+It is solved on its left half, with the Dirichlet end kept and the
+centre made reflecting: the same lowest eigenvalue from arrays half as
+long.  Any other profile is solved on the whole path.
+
 Two structural facts make good cross-checks and are exploited by the test
 suite:
 
@@ -47,6 +53,7 @@ from .report import VerificationReport, make_report
 __all__ = [
     "MeasureUnderflowError",
     "CellWidthError",
+    "IntervalLengthError",
     "IterationCapError",
     "OUProblem",
     "TridiagonalPencil",
@@ -69,12 +76,13 @@ EXPONENT_GUARD = 700.0
 # scales like h^2, and an eigenvector's tail lies up to about e^(-E/2)
 # below its top (E the guarded exponent), so the smallest products the
 # inverse iteration forms are about h^2 e^(-E/2).  Within the exponent
-# guard they stay normal down to h = 2^-266 at m = 8 and 2^-384 at
-# m = 2000; this keeps 26 bits more.
+# guard both conditions solve without underflow down to h = 2^-266 at
+# m = 8 and 2^-382 at m = 2000; this keeps 26 bits more.
 MIN_CELL_WIDTH = 2.0**-240
 
 # inverse-iteration steps before ``IterationCapError``; the criterion-01
-# box takes at most 19 (Dirichlet) and 14 (Neumann) at m = 2000 and 4000
+# box takes at most 19 (Dirichlet, 10.5 on average) and 14 (Neumann, 6.3 to
+# 6.7 on average) at m = 2000 and 4000
 ITERATION_CAP = 100
 
 # the iterate is held at least this far below its largest entry: lower
@@ -96,6 +104,10 @@ class CellWidthError(ValueError):
     """The cell width d / m is too small for the 1/h^2 pencil to stay in range."""
 
 
+class IntervalLengthError(ValueError):
+    """The interval length d is so large that d^2 overflows float64."""
+
+
 class IterationCapError(RuntimeError):
     """Inverse iteration did not settle within ``ITERATION_CAP`` steps."""
 
@@ -114,6 +126,10 @@ class OUProblem:
             raise ValueError(f"drift coefficient K must be finite, got {self.K!r}")
         if not (math.isfinite(self.d) and self.d > 0.0):
             raise ValueError(f"interval length d must be positive, got {self.d!r}")
+        if not math.isfinite(self.d * self.d):
+            raise IntervalLengthError(
+                f"interval length d = {self.d!r} is too large: d^2 overflows float64"
+            )
         if self.m < 8:
             raise ValueError(f"cell count m must be at least 8, got {self.m}")
         h = self.d / self.m
@@ -124,7 +140,8 @@ class OUProblem:
             )
         if self.bc not in (NEUMANN, DIRICHLET):
             raise ValueError(f"bc must be {NEUMANN!r} or {DIRICHLET!r}, got {self.bc!r}")
-        exponent = abs(self.K) * (self.d / 2.0) ** 2 / 2.0
+        half = self.d / 2.0
+        exponent = abs(self.K) * (half * half) / 2.0
         if exponent > EXPONENT_GUARD:
             raise MeasureUnderflowError(
                 f"|K| (d/2)^2 / 2 = {exponent:.1f} exceeds {EXPONENT_GUARD:.0f}; "
@@ -249,30 +266,60 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _generators(
+    resistances: np.ndarray, masses: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generators a, b of A = M^{1/2} G M^{1/2}, A_ij = a_min(i,j) b_max(i,j),
+    and the start restricted to the path they describe.
+
+    A path whose resistances and masses both equal their own reversal is
+    folded onto its left half.  Its ground state is positive, hence even,
+    so the half path with the Dirichlet end kept and the centre made
+    reflecting has the same lowest eigenvalue.  An odd unknown count
+    keeps the centre unknown with half its mass (and the start entry
+    scaled by sqrt(1/2), which keeps the start the restriction of the
+    full one); an even count drops the centre link, which carries no
+    flux.  Grounded at one end only, the half path's Green's function
+    is G_ij = P_min(i,j), so a = M^{1/2} P and b = M^{1/2}.
+
+    Any other path keeps both ends: G_ij = P_min(i,j) Q_max(i,j) / P_tot,
+    where P_i and Q_i are the resistances to the left and to the right
+    of unknown i and P_tot their sum, so a = M^{1/2} P / sqrt(P_tot) and
+    b = M^{1/2} Q / sqrt(P_tot).
+    """
+    if np.array_equal(resistances, resistances[::-1]) and np.array_equal(masses, masses[::-1]):
+        n = masses.shape[0]
+        half = (n + 1) // 2
+        root = np.sqrt(masses[:half])
+        start = start[:half].copy()
+        if n % 2:
+            root[-1] = math.sqrt(0.5 * masses[half - 1])
+            start[-1] *= math.sqrt(0.5)
+        return root * _prefix_sums(resistances[:half]), root, start
+    cum = _prefix_sums(resistances)
+    scale = np.sqrt(masses) / math.sqrt(cum[-1])
+    return cum[:-1] * scale, _prefix_sums(resistances[:0:-1])[::-1] * scale, start
+
+
 def _lowest(resistances: np.ndarray, masses: np.ndarray, start: np.ndarray) -> float:
     """Smallest eigenvalue of a Dirichlet path pencil, by inverse iteration.
 
     The path has n unknowns with positive ``masses`` and n + 1 links with
     positive ``resistances`` (inverse conductances); both ends are held at
-    0.  The stiffness inverse is the path's Green's function
-    G_ij = P_min(i,j) Q_max(i,j) / P_tot, where P_i and Q_i are the
-    resistances to the left and to the right of unknown i and P_tot
-    their sum.  So A = M^{1/2} G M^{1/2} has A_ij = a_min(i,j) b_max(i,j)
-    with a = M^{1/2} P / sqrt(P_tot) and b = M^{1/2} Q / sqrt(P_tot), and
-    A z costs two cumulative sums.  A is invariant under a common scale
-    of the conductances and masses, and the iterate is normalized by its
-    largest entry, so a power-of-two scale of both changes no bit.
+    0.  The stiffness inverse is the path's Green's function G, and
+    A = M^{1/2} G M^{1/2} has the semiseparable form of ``_generators``,
+    so A z costs two cumulative sums.  A reflection-
+    symmetric path is solved on its half path, which halves every array
+    a step touches.  A is invariant under a common scale of the
+    conductances and masses, and the iterate is normalized by its largest
+    entry, so a power-of-two scale of both changes no bit.
 
     The Schwarz quotient z.z / z.Az of the power iteration z <- A z is
     nonincreasing and bounds the eigenvalue from above; the iteration
     stops once it falls by at most 4 eps relative, a test that needs no
     product of eps with a possibly tiny eigenvalue.
     """
-    cum = _prefix_sums(resistances)
-    scale = np.sqrt(masses) / math.sqrt(cum[-1])
-    a = cum[:-1] * scale
-    b = _prefix_sums(resistances[:0:-1])[::-1] * scale
-    w = start
+    a, b, w = _generators(resistances, masses, start)
     lam = math.inf
     for _ in range(ITERATION_CAP):
         top = w.max()
@@ -299,7 +346,9 @@ def lowest_eigenvalue(pencil: TridiagonalPencil) -> float:
     symmetric variable z = M^{1/2} v.  A Dirichlet pencil starts from
     z = 1.  The dual starts from the fluxes c h of u = x, which are
     z = h sqrt(c): close to the first mode where the next eigenvalue is
-    only twice as large and power steps are slowest.
+    only twice as large and power steps are slowest.  A reflection-
+    symmetric pencil, such as every OU pencil, is solved on half of its
+    path (see ``_generators``) from the restriction of its start.
     """
     c = pencil.conductances
     if pencil.n < (2 if pencil.bc == NEUMANN else 1):

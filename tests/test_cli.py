@@ -299,9 +299,9 @@ def test_suite_shares_the_round_sphere(monkeypatch):
     calls = count_calls(monkeypatch, [cli, spectral], names)
     assert len(run_suite(TINY)) == 14
     # sphere-round and the four height cases share one mesh, the shift case
-    # builds its own; one solve per circle, round sphere and height case,
-    # three for the shift case
-    assert calls == {"build_icosphere": 2, "lambda1_witten": 2 + 1 + 4 + 3}
+    # builds its own; one solve per circle, round sphere and height case
+    # except a = 0, which is the round sphere, and three for the shift case
+    assert calls == {"build_icosphere": 2, "lambda1_witten": 2 + 1 + 3 + 3}
 
 
 def test_spectral_height_requires_a(capsys):

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from wittengap import sturm
 from wittengap.sturm import (
     DIRICHLET,
     EXPONENT_GUARD,
     MIN_CELL_WIDTH,
     NEUMANN,
     CellWidthError,
+    IntervalLengthError,
     IterationCapError,
     MeasureUnderflowError,
     OUProblem,
@@ -51,7 +53,7 @@ def test_pencil_shapes_and_positivity():
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
-@pytest.mark.parametrize("m", [8, 41, 100])
+@pytest.mark.parametrize("m", [8, 41, 100, 2000, 2001, 4000])
 def test_exact_reflection_symmetry(bc, m):
     # centered index coordinates make the weights bitwise symmetric
     pen = discretize_ou(OUProblem(K=3.0, d=1.7, m=m, bc=bc))
@@ -72,8 +74,8 @@ def _flat_profile(d, m, bc):
 def test_hand_built_flat_profile_gives_the_discrete_value(bc, m):
     # the path Laplacian's first (nonzero) eigenvalue, for either condition,
     # to a few eps relative, although it lies (m / pi)^2 below the matrix
-    # norm 4 / h^2; the per-step running sums are not compensated and
-    # drift to about 18 eps at m = 10^5
+    # norm 4 / h^2; the per-step running sums are not compensated, and on
+    # the half path they drift to about 3.8 eps at m = 10^4 and 10^5
     d = 2.5
     h = d / m
     exact = 4.0 * math.sin(math.pi * h / (2.0 * d)) ** 2 / h**2
@@ -113,6 +115,79 @@ def test_neumann_pencil_and_its_dual_give_the_same_bits():
     pen = discretize_ou(OUProblem(K=3.0, d=2.0, m=500, bc=NEUMANN))
     dual = TridiagonalPencil(conductances=1.0 / pen.mass, mass=1.0 / pen.conductances, bc=DIRICHLET)
     assert lowest_eigenvalue(dual) == pytest.approx(lowest_eigenvalue(pen), rel=50 * EPS)
+
+
+def _solved_lengths(monkeypatch):
+    # lengths of the resistance runs the solver sums: (n + 1) // 2 on a
+    # folded path of n unknowns, n + 1 and n on the whole path
+    lengths = []
+    prefix_sums = sturm._prefix_sums
+
+    def spy(x):
+        lengths.append(x.shape[0])
+        return prefix_sums(x)
+
+    monkeypatch.setattr(sturm, "_prefix_sums", spy)
+    return lengths
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("K", [3.0, -4.0])
+@pytest.mark.parametrize("m", [500, 501])
+def test_folded_and_whole_path_agree(monkeypatch, bc, K, m):
+    # the solved path has m - 1 unknowns for either condition (the Neumann
+    # dual lives on the links), so m = 500 keeps a centre unknown and
+    # m = 501 drops a centre link; one ulp on an end mass breaks the
+    # symmetry and sends the pencil down the whole path
+    pen = discretize_ou(OUProblem(K=K, d=2.5, m=m, bc=bc))
+    mass = pen.mass.copy()
+    mass[0] = np.nextafter(mass[0], np.inf)
+    nudged = TridiagonalPencil(conductances=pen.conductances, mass=mass, bc=bc)
+    lengths = _solved_lengths(monkeypatch)
+    folded = lowest_eigenvalue(pen)
+    assert lengths == [m // 2]
+    whole = lowest_eigenvalue(nudged)
+    assert lengths[1:] == [m, m - 1]
+    assert folded == pytest.approx(whole, rel=50 * EPS)
+
+
+def _tridiagonal_oracle(pen):
+    # the pencil's eigenvalues, ascending, by LAPACK on M^-1/2 S M^-1/2
+    c = pen.conductances
+    if pen.bc == NEUMANN:
+        c = np.concatenate(([0.0], c, [0.0]))
+    root = np.sqrt(pen.mass)
+    diag = (c[:-1] + c[1:]) / pen.mass
+    off = -c[1:-1] / (root[:-1] * root[1:])
+    return eigh_tridiagonal(diag, off, eigvals_only=True)
+
+
+def _mirrored(rng, n):
+    half = rng.uniform(0.5, 2.0, (n + 1) // 2)
+    return np.concatenate((half, half[::-1][n % 2 :]))
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("n", [40, 41])
+def test_symmetric_two_wells_give_the_even_ground_state(bc, n):
+    # two mirrored wells joined through a 1e-4 barrier at the centre: the
+    # solved path's lowest mode is even and its second odd (0.3 % higher
+    # for Dirichlet at n = 40), and the fold must return the even one.
+    # For Neumann the solved path is the dual on the links, whose even
+    # ground state is the pencil's odd, tunnelling first nonzero mode
+    rng = np.random.default_rng(n)
+    links = n - 1 if bc == NEUMANN else n + 1
+    conductances = _mirrored(rng, links)
+    conductances[(links - 1) // 2 : links // 2 + 1] = 1e-4
+    pen = TridiagonalPencil(conductances=conductances, mass=_mirrored(rng, n), bc=bc)
+    assert np.array_equal(pen.conductances, pen.conductances[::-1])
+    assert np.array_equal(pen.mass, pen.mass[::-1])
+    spectrum = _tridiagonal_oracle(pen)
+    lowest, second = spectrum[1:3] if bc == NEUMANN else spectrum[:2]
+    noise = 100.0 * EPS * spectrum[-1]
+    assert second - lowest > 1e3 * noise
+    lam = lowest_eigenvalue(pen)
+    assert abs(lam - lowest) <= noise
 
 
 def test_iteration_cap_raises_by_name():
@@ -357,6 +432,20 @@ def test_tiny_interval_is_rejected_by_name(solve, d, m):
     # these died in LAPACK bisection or on an infinite 1/h^2 entry
     with pytest.raises(CellWidthError):
         solve(0.0, d, m)
+
+
+@pytest.mark.parametrize("K", [0.0, 1.0])
+def test_interval_too_long_to_square_is_rejected_by_name(K):
+    # (d/2) ** 2 in the exponent check used to raise a bare OverflowError
+    with pytest.raises(IntervalLengthError, match="d\\^2 overflows"):
+        raw_lambda1(K, 1e160, 8, NEUMANN)
+    # the longest interval whose square is finite still validates at K = 0
+    d = math.sqrt(np.finfo(float).max)
+    longer = math.nextafter(d, math.inf)
+    assert math.isfinite(d * d) and not math.isfinite(longer * longer)
+    OUProblem(K=0.0, d=d, m=8)
+    with pytest.raises(IntervalLengthError):
+        OUProblem(K=K, d=longer, m=8)
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
