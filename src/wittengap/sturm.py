@@ -22,13 +22,19 @@ masses and whose masses are the inverse conductances: it has the
 Neumann pencil's nonzero spectrum and no zero mode.  The Green's
 function's entries and every step are sums and products of positive
 numbers, nothing is formed by cancellation, so even an eigenvalue far
-below eps times the matrix norm comes out to relative accuracy.
+below eps times the matrix norm comes out to relative accuracy, down to
+the smallest normal float; one outside the normal range raises
+``EigenvalueRangeError``.
 
 A path whose resistances and masses are both reflection-symmetric, as
 every ``discretize_ou`` profile is bitwise, has an even ground state.
 It is solved on its left half, with the Dirichlet end kept and the
 centre made reflecting: the same lowest eigenvalue from arrays half as
-long.  Any other profile is solved on the whole path.
+long.  Held at one end only, the half path's Green's function is
+G_ij = P_min(i,j), with P_i the resistance between unknown i and the
+held end, so a step is two running sums and three products.  Any other
+profile is solved on the whole path, held at both ends, in the
+semiseparable form of its Green's function.
 
 Two structural facts make good cross-checks and are exploited by the test
 suite:
@@ -43,6 +49,7 @@ suite:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +62,10 @@ __all__ = [
     "CellWidthError",
     "IntervalLengthError",
     "IterationCapError",
+    "EigenvalueRangeError",
     "OUProblem",
     "TridiagonalPencil",
     "discretize_ou",
-    "stiffness_apply",
     "lowest_eigenvalue",
     "raw_lambda1",
     "neumann_lambda1",
@@ -72,17 +79,17 @@ TOL_COMPARE_REL = 1e-5
 # exp arguments beyond this over/underflow in float64 (exp(709.8) ~ 1.8e308)
 EXPONENT_GUARD = 700.0
 
-# smallest cell width h = d / m the solver takes.  The Green's function
-# scales like h^2, and an eigenvector's tail lies up to about e^(-E/2)
-# below its top (E the guarded exponent), so the smallest products the
-# inverse iteration forms are about h^2 e^(-E/2).  Within the exponent
-# guard both conditions solve without underflow down to h = 2^-266 at
-# m = 8 and 2^-382 at m = 2000; this keeps 26 bits more.
+# smallest cell width h = d / m the solver takes.  A step multiplies the
+# resistances (about h) by running sums of M^{1/2} z (about h^{1/2} times
+# a tail that lies up to about e^(-E/2) below the top, E the guarded
+# exponent), so its smallest products are about h^{3/2} e^(-E/2).  Within
+# the exponent guard both conditions solve without underflow down to
+# h = 2^-344 at m = 8 and 2^-427 at m = 2000; this keeps 104 bits more.
 MIN_CELL_WIDTH = 2.0**-240
 
 # inverse-iteration steps before ``IterationCapError``; the criterion-01
-# box takes at most 19 (Dirichlet, 10.5 on average) and 14 (Neumann, 6.3 to
-# 6.7 on average) at m = 2000 and 4000
+# box takes at most 20 (Dirichlet, 10.5 on average) and 15 (Neumann, 6.4 to
+# 6.8 on average) at m = 2000 and 4000
 ITERATION_CAP = 100
 
 # the iterate is held at least this far below its largest entry: lower
@@ -91,6 +98,11 @@ ITERATION_CAP = 100
 TAIL_FLOOR = 2.0**-128
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
+
+# np.cumsum bit for bit, without its Python-level dispatch (about 2 us a
+# call, a tenth of a step at n = 1000)
+_running_sum = np.add.accumulate
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -110,6 +122,10 @@ class IntervalLengthError(ValueError):
 
 class IterationCapError(RuntimeError):
     """Inverse iteration did not settle within ``ITERATION_CAP`` steps."""
+
+
+class EigenvalueRangeError(ArithmeticError):
+    """The lowest eigenvalue lies outside the normal float64 range."""
 
 
 @dataclass(frozen=True)
@@ -231,26 +247,6 @@ def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     )
 
 
-def stiffness_apply(pencil: TridiagonalPencil, u: np.ndarray) -> np.ndarray:
-    """Apply the stiffness part, assembled link-wise so constants telescope.
-
-    For a Neumann pencil a constant input returns exactly zero: every
-    link contributes c (u_i - u_j) and the differences vanish before any
-    rounding can enter.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if pencil.bc == DIRICHLET:
-        # eliminated boundary values are zero
-        u = np.concatenate(([0.0], u, [0.0]))
-    flux = pencil.conductances * np.diff(u)
-    out = np.zeros(u.shape[0])
-    out[:-1] -= flux
-    out[1:] += flux
-    if pencil.bc == DIRICHLET:
-        out = out[1:-1]
-    return out
-
-
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
     """Cumulative sums of x, each within about one rounding of exact.
 
@@ -268,9 +264,9 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
 
 def _generators(
     resistances: np.ndarray, masses: np.ndarray, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Generators a, b of A = M^{1/2} G M^{1/2}, A_ij = a_min(i,j) b_max(i,j),
-    and the start restricted to the path they describe.
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """The product z -> A z with A = M^{1/2} G M^{1/2}, and the start
+    restricted to the path it acts on.
 
     A path whose resistances and masses both equal their own reversal is
     folded onto its left half.  Its ground state is positive, hence even,
@@ -279,26 +275,43 @@ def _generators(
     keeps the centre unknown with half its mass (and the start entry
     scaled by sqrt(1/2), which keeps the start the restriction of the
     full one); an even count drops the centre link, which carries no
-    flux.  Grounded at one end only, the half path's Green's function
-    is G_ij = P_min(i,j), so a = M^{1/2} P and b = M^{1/2}.
+    flux.  Grounded at one end only, the half path's Green's function is
+    G_ij = P_min(i,j), where P_i sums the resistances r up to unknown i.
+    So A z = root * cumsum(r * revcumsum(root * z)) with root = M^{1/2}:
+    two running sums and three products, and no resistance sum is formed.
 
     Any other path keeps both ends: G_ij = P_min(i,j) Q_max(i,j) / P_tot,
     where P_i and Q_i are the resistances to the left and to the right
-    of unknown i and P_tot their sum, so a = M^{1/2} P / sqrt(P_tot) and
-    b = M^{1/2} Q / sqrt(P_tot).
+    of unknown i and P_tot their sum.  Then A_ij = a_min(i,j) b_max(i,j)
+    with the generators a = M^{1/2} P / sqrt(P_tot) and
+    b = M^{1/2} Q / sqrt(P_tot), each a compensated prefix sum.
     """
     if np.array_equal(resistances, resistances[::-1]) and np.array_equal(masses, masses[::-1]):
         n = masses.shape[0]
         half = (n + 1) // 2
+        r = resistances[:half]
         root = np.sqrt(masses[:half])
         start = start[:half].copy()
         if n % 2:
             root[-1] = math.sqrt(0.5 * masses[half - 1])
             start[-1] *= math.sqrt(0.5)
-        return root * _prefix_sums(resistances[:half]), root, start
+
+        def one_ended(z: np.ndarray) -> np.ndarray:
+            return root * _running_sum(r * _running_sum((root * z)[::-1])[::-1])
+
+        return one_ended, start
     cum = _prefix_sums(resistances)
     scale = np.sqrt(masses) / math.sqrt(cum[-1])
-    return cum[:-1] * scale, _prefix_sums(resistances[:0:-1])[::-1] * scale, start
+    a = cum[:-1] * scale
+    b = _prefix_sums(resistances[:0:-1])[::-1] * scale
+
+    def two_ended(z: np.ndarray) -> np.ndarray:
+        right = _running_sum((b * z)[::-1])[::-1]
+        w = b * _running_sum(a * z)
+        w[:-1] += a[:-1] * right[1:]
+        return w
+
+    return two_ended, start
 
 
 def _lowest(resistances: np.ndarray, masses: np.ndarray, start: np.ndarray) -> float:
@@ -307,30 +320,51 @@ def _lowest(resistances: np.ndarray, masses: np.ndarray, start: np.ndarray) -> f
     The path has n unknowns with positive ``masses`` and n + 1 links with
     positive ``resistances`` (inverse conductances); both ends are held at
     0.  The stiffness inverse is the path's Green's function G, and
-    A = M^{1/2} G M^{1/2} has the semiseparable form of ``_generators``,
-    so A z costs two cumulative sums.  A reflection-
-    symmetric path is solved on its half path, which halves every array
-    a step touches.  A is invariant under a common scale of the
-    conductances and masses, and the iterate is normalized by its largest
-    entry, so a power-of-two scale of both changes no bit.
+    ``_generators`` gives the product with A = M^{1/2} G M^{1/2}: on a
+    reflection-symmetric path, folded onto its half, two running sums and
+    three products; on any other path, two running sums of the
+    semiseparable form.  A is invariant under a common scale of the
+    conductances and masses, and every iterate is normalized by its
+    largest entry, so a power-of-two scale of both changes no bit.
 
     The Schwarz quotient z.z / z.Az of the power iteration z <- A z is
     nonincreasing and bounds the eigenvalue from above; the iteration
     stops once it falls by at most 4 eps relative, a test that needs no
-    product of eps with a possibly tiny eigenvalue.
+    product of eps with a possibly tiny eigenvalue.  A z is scaled by a
+    power of two to at most 1 before it enters the quotient, so z.Az
+    cannot overflow and an eigenvalue down to the smallest normal float
+    comes out.  ``EigenvalueRangeError`` is raised where a step overflows
+    (the eigenvalue lies below about 1 / max float) or the quotient, an
+    upper bound, falls below the smallest normal float.
     """
-    a, b, w = _generators(resistances, masses, start)
+    step, w = _generators(resistances, masses, start)
+    top = w.max()
     lam = math.inf
-    for _ in range(ITERATION_CAP):
-        top = w.max()
-        z = np.maximum(w, TAIL_FLOOR * top) / top
-        right = np.cumsum((b * z)[::-1])[::-1]
-        w = b * np.cumsum(a * z)
-        w[:-1] += a[:-1] * right[1:]
-        quotient = (z @ z) / (z @ w)
-        if quotient >= lam * (1.0 - 4.0 * _EPS):
-            return float(min(quotient, lam))
-        lam = quotient
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for _ in range(ITERATION_CAP):
+                z = np.maximum(w, TAIL_FLOOR * top) / top
+                w = step(z)
+                top = w.max()
+                # a power of two brings A z below 1 exactly: the quotient
+                # keeps its bits, and z.Az cannot overflow
+                scale = math.ldexp(1.0, -math.frexp(top)[1])
+                w *= scale
+                top *= scale
+                quotient = (z @ z) / (z @ w) * scale
+                if quotient < _TINY:
+                    raise EigenvalueRangeError(
+                        f"lowest eigenvalue on {masses.shape[0]} unknowns is below the "
+                        f"normal float64 range (quotient {float(quotient)!r})"
+                    )
+                if quotient >= lam * (1.0 - 4.0 * _EPS):
+                    return float(min(quotient, lam))
+                lam = quotient
+    except (FloatingPointError, OverflowError) as exc:
+        raise EigenvalueRangeError(
+            f"lowest eigenvalue on {masses.shape[0]} unknowns is outside the normal "
+            f"float64 range ({exc})"
+        ) from exc
     raise IterationCapError(
         f"inverse iteration on {masses.shape[0]} unknowns did not settle "
         f"in {ITERATION_CAP} steps (last quotient {lam!r})"
@@ -348,7 +382,9 @@ def lowest_eigenvalue(pencil: TridiagonalPencil) -> float:
     z = h sqrt(c): close to the first mode where the next eigenvalue is
     only twice as large and power steps are slowest.  A reflection-
     symmetric pencil, such as every OU pencil, is solved on half of its
-    path (see ``_generators``) from the restriction of its start.
+    path, held at one end, from the restriction of its start: two running
+    sums and three products a step (see ``_generators``).  An eigenvalue
+    outside the normal float64 range raises ``EigenvalueRangeError``.
     """
     c = pencil.conductances
     if pencil.n < (2 if pencil.bc == NEUMANN else 1):

@@ -15,6 +15,7 @@ from wittengap.sturm import (
     MIN_CELL_WIDTH,
     NEUMANN,
     CellWidthError,
+    EigenvalueRangeError,
     IntervalLengthError,
     IterationCapError,
     MeasureUnderflowError,
@@ -25,7 +26,6 @@ from wittengap.sturm import (
     lowest_eigenvalue,
     neumann_lambda1,
     raw_lambda1,
-    stiffness_apply,
     verify_comparison,
 )
 
@@ -75,7 +75,8 @@ def test_hand_built_flat_profile_gives_the_discrete_value(bc, m):
     # the path Laplacian's first (nonzero) eigenvalue, for either condition,
     # to a few eps relative, although it lies (m / pi)^2 below the matrix
     # norm 4 / h^2; the per-step running sums are not compensated, and on
-    # the half path they drift to about 3.8 eps at m = 10^4 and 10^5
+    # the half path, where the second sums the first, they drift to about
+    # 3.8 eps at m = 10^4 and 60 eps at m = 10^5
     d = 2.5
     h = d / m
     exact = 4.0 * math.sin(math.pi * h / (2.0 * d)) ** 2 / h**2
@@ -118,37 +119,57 @@ def test_neumann_pencil_and_its_dual_give_the_same_bits():
 
 
 def _solved_lengths(monkeypatch):
-    # lengths of the resistance runs the solver sums: (n + 1) // 2 on a
-    # folded path of n unknowns, n + 1 and n on the whole path
+    # unknown counts of the paths the solver iterates on: (n + 1) // 2 on a
+    # folded path of n unknowns, n on the whole path
     lengths = []
-    prefix_sums = sturm._prefix_sums
+    generators = sturm._generators
 
-    def spy(x):
-        lengths.append(x.shape[0])
-        return prefix_sums(x)
+    def spy(resistances, masses, start):
+        step, start = generators(resistances, masses, start)
+        lengths.append(start.shape[0])
+        return step, start
 
-    monkeypatch.setattr(sturm, "_prefix_sums", spy)
+    monkeypatch.setattr(sturm, "_generators", spy)
     return lengths
+
+
+def _nudged(pen):
+    # one ulp on an end mass breaks the symmetry and sends the pencil down
+    # the whole path
+    mass = pen.mass.copy()
+    mass[0] = np.nextafter(mass[0], np.inf)
+    return TridiagonalPencil(conductances=pen.conductances, mass=mass, bc=pen.bc)
+
+
+def _assert_fold_agrees(monkeypatch, pen, m):
+    # the solved path has m - 1 unknowns for either condition (the Neumann
+    # dual lives on the links), so m = 500 keeps a centre unknown and
+    # m = 501 drops a centre link
+    lengths = _solved_lengths(monkeypatch)
+    folded = lowest_eigenvalue(pen)
+    assert lengths == [m // 2]
+    whole = lowest_eigenvalue(_nudged(pen))
+    assert lengths[1:] == [m - 1]
+    assert folded == pytest.approx(whole, rel=50 * EPS)
 
 
 @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
 @pytest.mark.parametrize("K", [3.0, -4.0])
 @pytest.mark.parametrize("m", [500, 501])
 def test_folded_and_whole_path_agree(monkeypatch, bc, K, m):
-    # the solved path has m - 1 unknowns for either condition (the Neumann
-    # dual lives on the links), so m = 500 keeps a centre unknown and
-    # m = 501 drops a centre link; one ulp on an end mass breaks the
-    # symmetry and sends the pencil down the whole path
-    pen = discretize_ou(OUProblem(K=K, d=2.5, m=m, bc=bc))
-    mass = pen.mass.copy()
-    mass[0] = np.nextafter(mass[0], np.inf)
-    nudged = TridiagonalPencil(conductances=pen.conductances, mass=mass, bc=bc)
-    lengths = _solved_lengths(monkeypatch)
-    folded = lowest_eigenvalue(pen)
-    assert lengths == [m // 2]
-    whole = lowest_eigenvalue(nudged)
-    assert lengths[1:] == [m, m - 1]
-    assert folded == pytest.approx(whole, rel=50 * EPS)
+    _assert_fold_agrees(monkeypatch, discretize_ou(OUProblem(K=K, d=2.5, m=m, bc=bc)), m)
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("m", [500, 501])
+def test_folded_and_whole_path_agree_on_a_random_mirrored_profile(monkeypatch, bc, m):
+    # no weight shape, just mirrored random conductances and masses on the
+    # same unknown and link counts as the OU pencil of m cells
+    rng = np.random.default_rng(m)
+    n = m if bc == NEUMANN else m - 1
+    links = n - 1 if bc == NEUMANN else n + 1
+    pen = TridiagonalPencil(conductances=_mirrored(rng, links), mass=_mirrored(rng, n), bc=bc)
+    _assert_fold_agrees(monkeypatch, pen, m)
 
 
 def _tridiagonal_oracle(pen):
@@ -284,9 +305,26 @@ def test_relative_accuracy_against_the_kummer_root(K, d, rel):
     assert lam == pytest.approx(_kummer_lambda1(K, d, lam), rel=rel)
 
 
+def _stiffness_apply(pencil, u):
+    # the stiffness part as a dense oracle, assembled link-wise so that
+    # constants telescope: for a Neumann pencil every link contributes
+    # c (u_i - u_j), and a constant input returns exactly zero
+    u = np.asarray(u, dtype=np.float64)
+    if pencil.bc == DIRICHLET:
+        # eliminated boundary values are zero
+        u = np.concatenate(([0.0], u, [0.0]))
+    flux = pencil.conductances * np.diff(u)
+    out = np.zeros(u.shape[0])
+    out[:-1] -= flux
+    out[1:] += flux
+    if pencil.bc == DIRICHLET:
+        out = out[1:-1]
+    return out
+
+
 def test_neumann_annihilates_constants_exactly():
     pen = discretize_ou(OUProblem(K=2.0, d=3.0, m=200, bc=NEUMANN))
-    out = stiffness_apply(pen, np.ones(pen.n))
+    out = _stiffness_apply(pen, np.ones(pen.n))
     assert np.all(out == 0.0)
 
 
@@ -295,7 +333,7 @@ def _dense_matrices(pen):
     S = np.zeros((n, n))
     eye = np.eye(n)
     for j in range(n):
-        S[:, j] = stiffness_apply(pen, eye[:, j])
+        S[:, j] = _stiffness_apply(pen, eye[:, j])
     return S, np.diag(pen.mass)
 
 
@@ -462,6 +500,36 @@ def test_whole_box_solves_under_raised_float_errors(bc, m):
     lams = np.array(lams)
     assert np.isfinite(lams).all()
     assert (lams > 0.0).all()
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+def test_eigenvalue_near_the_smallest_normal_float_solves(bc):
+    # lambda_1 = pi^2 / d^2 = 9.87e-308 at d = 1e154: A z is about 1e307,
+    # so z.Az on the unscaled product would overflow
+    lam = raw_lambda1(0.0, 1e154, 2000, bc)
+    assert lam == pytest.approx(math.pi**2 / 1e154**2, rel=1e-6)
+
+
+def test_eigenvalue_below_the_float_range_is_rejected_by_name():
+    # at the exponent guard with d = 1e100 the Neumann lambda_1 is about
+    # 1e-504, and A z overflows
+    with pytest.raises(EigenvalueRangeError, match="normal float64 range"):
+        raw_lambda1(-5.6e-197, 1e100, 2000, NEUMANN)
+
+
+@pytest.mark.parametrize("lam", [3e-308, 1.5e-308, 4e-309])
+def test_flat_path_at_the_edge_of_the_normal_range(lam):
+    # a Dirichlet path of 8 unknowns with the discrete eigenvalue lam: at
+    # 3e-308 it solves; at 1.5e-308 A z stays finite but the Schwarz
+    # quotient, an upper bound, drops below the smallest normal float;
+    # at 4e-309 A z itself overflows
+    c = lam / (4.0 * math.sin(math.pi / 18.0) ** 2)
+    pen = TridiagonalPencil(conductances=np.full(9, c), mass=np.ones(8), bc=DIRICHLET)
+    if lam > np.finfo(float).tiny:
+        assert lowest_eigenvalue(pen) == pytest.approx(lam, rel=1e-13)
+    else:
+        with pytest.raises(EigenvalueRangeError, match="normal float64 range"):
+            lowest_eigenvalue(pen)
 
 
 def test_negative_curvature_corner_of_the_box():
