@@ -77,6 +77,7 @@ from wittengap.sturm import (
     DIRICHLET,
     NEUMANN,
     TOL_COMPARE_REL,
+    EigenvalueRangeError,
     dirichlet_lambda1,
     neumann_lambda1,
     raw_lambda1,
@@ -924,7 +925,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, EigenvalueRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

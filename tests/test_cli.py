@@ -421,6 +421,52 @@ def test_internal_error_exits_one(capsys):
     assert "error:" in err
 
 
+def test_eigenvalue_out_of_float_range_exits_one(capsys):
+    # the Neumann lambda_1 of this problem lies below the smallest normal
+    # float; sturm raises EigenvalueRangeError, an ArithmeticError
+    rc, out, err = run_cli(capsys, "ou", "--K=-5.6e-197", "--d", "1e100", "--bc", "neumann")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "normal float64 range" in err
+
+
+# Runs the numpy-only entry points in a fresh interpreter, records which
+# scipy modules they loaded, then runs one mesh solve as a positive control.
+NUMPY_ONLY_SCRIPT = """
+import contextlib, io, json, sys
+import wittengap
+from wittengap import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [
+        cli.main(["ou", "--K", "3", "--d", "7", "--verify"]),
+        cli.main(["bounds", "--K", "1", "--d", "2"]),
+    ]
+    before = sorted(m for m in sys.modules if m.startswith("scipy"))
+    rcs.append(cli.main(["spectral", "--case", "circle", "--n", "1000"]))
+print(json.dumps({"rcs": rcs, "before": before, "after": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_interval_commands_do_not_load_scipy():
+    # scipy.sparse costs about 0.35 s and 33 MB to import; only mesh
+    # solves need it, so the package, bounds and ou start on numpy alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rcs"] == [0, 0, 0]
+    assert result["before"] == []
+    assert result["after"] is True
+
+
 def test_verify_all_determinism_and_failure_report(capsys, tmp_path, tiny_suite):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     rc1, stdout1, err1 = run_cli(capsys, "verify-all", "--out", out1)
