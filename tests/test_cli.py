@@ -297,11 +297,17 @@ def test_spectral_builds_and_solves_once(capsys, monkeypatch, tmp_path):
 def test_suite_shares_the_round_sphere(monkeypatch):
     names = ["build_icosphere", "lambda1_witten"]
     calls = count_calls(monkeypatch, [cli, spectral], names)
+    orders = count_calls(monkeypatch, [spectral], ["_nested_dissection"])
     assert len(run_suite(TINY)) == 14
     # sphere-round and the four height cases share one mesh, the shift case
     # builds its own; one solve per circle, round sphere and height case
-    # except a = 0, which is the round sphere, and three for the shift case
-    assert calls == {"build_icosphere": 2, "lambda1_witten": 2 + 1 + 3 + 3}
+    # except a = 0, which is the round sphere, and three for the shift case;
+    # each mesh is ordered once, whatever its weights
+    assert calls | orders == {
+        "build_icosphere": 2,
+        "lambda1_witten": 2 + 1 + 3 + 3,
+        "_nested_dissection": 2 + 1 + 1,
+    }
 
 
 def test_spectral_height_requires_a(capsys):

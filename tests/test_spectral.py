@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittengap import spectral
 from wittengap.cli import RunConfig, case_sphere_height
 from wittengap.spectral import (
+    SHIFT,
     EigensolverConvergenceError,
     WeightedComplex,
     apply_weight,
@@ -219,6 +222,88 @@ def test_sparse_path_matches_dense_generalized_eigh(height):
     assert sparse_res.lambda1 == pytest.approx(dense[1], rel=1e-9)
     # all six, so a copy of a repeated level lost by the Krylov solve shows
     np.testing.assert_allclose(sparse_res.eigenvalues, dense[1:], rtol=1e-7)
+
+
+def coincident_path(n):
+    """A weighted path whose n vertices all sit at one point."""
+    return WeightedComplex(
+        vertices=np.full((n, 3), 0.25),
+        edges=np.column_stack([np.arange(n - 1), np.arange(1, n)]).astype(np.int64),
+        conductances=1.0 + 0.5 * np.cos(np.arange(n - 1)),
+        masses=1.0 + 0.25 * np.sin(np.arange(n)),
+        phi=np.zeros(n),
+    )
+
+
+def triangle():
+    return WeightedComplex(
+        vertices=np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]),
+        edges=np.array([[0, 1], [1, 2], [2, 0]], dtype=np.int64),
+        conductances=np.array([1.0, 2.0, 3.0]),
+        masses=np.ones(3),
+        phi=np.zeros(3),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda sub=sub: build_icosphere(sub) for sub in range(6)]
+    + [lambda: build_weighted_circle(8), lambda: build_weighted_circle(1000), triangle]
+    # 100 coincident vertices reach a split that leaves one side empty
+    + [lambda: coincident_path(4), lambda: coincident_path(100)],
+    ids=[f"sub{sub}" for sub in range(6)]
+    + ["circle8", "circle1000", "triangle", "coincident4", "coincident100"],
+)
+def test_elimination_order_is_a_permutation(build):
+    mesh = build()
+    order = spectral._nested_dissection(mesh.vertices, mesh.edges)
+    np.testing.assert_array_equal(np.sort(order), np.arange(mesh.n_vertices))
+
+
+@pytest.mark.parametrize("n", [4, 100])
+def test_coincident_path_matches_dense_oracle(n):
+    path = coincident_path(n)
+    res = lambda1_witten(path)
+    S = stiffness_matrix(path).toarray()
+    dense = scipy.linalg.eigh(S, np.diag(path.masses), eigvals_only=True)
+    assert res.lambda1 == pytest.approx(dense[1], rel=1e-10)
+    np.testing.assert_allclose(res.eigenvalues, dense[1 : res.eigenvalues.size + 1], rtol=1e-10)
+
+
+def test_shift_factor_is_a_symmetric_permutation_with_diagonal_pivots(monkeypatch):
+    mesh = build_icosphere(3)
+    # by Sylvester, the negative pivots count the eigenvalues below mu:
+    # none below the shift, the kernel below 1, the kernel and the
+    # 3-fold level 2 below 3
+    for mu, negative in [(SHIFT, 0), (1.0, 1), (3.0, 4)]:
+        order, lu = spectral._shift_factor(mesh, mu)
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        np.testing.assert_array_equal(lu.perm_c, np.arange(mesh.n_vertices))
+        assert np.count_nonzero(lu.U.diagonal() < 0.0) == negative
+        # a factor of the pencil itself, permuted into the mesh's order
+        pencil = (stiffness_matrix(mesh) - mu * scipy.sparse.diags(mesh.masses)).toarray()
+        np.testing.assert_allclose(
+            (lu.L @ lu.U).toarray(), pencil[np.ix_(order, order)], rtol=0, atol=1e-12
+        )
+
+    # and it is the one factor the eigensolver solves with
+    shifts = []
+    factor = spectral._shift_factor
+
+    def recording(complex_, mu):
+        shifts.append(mu)
+        return factor(complex_, mu)
+
+    monkeypatch.setattr(spectral, "_shift_factor", recording)
+    lambda1_witten(mesh)
+    assert shifts == [SHIFT]
+
+
+def test_shift_factor_fill_at_certified_resolution():
+    # COLAMD with row pivoting fills 1,347,336 nonzeros on this mesh and
+    # the nested-dissection order 828,878; the count is deterministic
+    _, lu = spectral._shift_factor(build_icosphere(5), SHIFT)
+    assert lu.L.nnz + lu.U.nnz < 1.0e6
 
 
 def test_eigensolver_restart_cap():
