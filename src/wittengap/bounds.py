@@ -10,10 +10,10 @@ L = Delta - grad(phi) . grad satisfies, for every s in (0, 1),
 every pair of a K list and a d list in one pass over the grid, and
 ``sup_bound_grid`` is its one-pair call.  It is the one grid oracle, kept
 independent of the closed form: it evaluates every grid point for every
-pair, with no vertex or concavity shortcut.  Its ``d`` columns are split
-among forked worker processes, one contiguous chunk per usable CPU; the
-entries are bit for bit those of one process, and a single chunk forks
-nothing.  ``sup_bound_closed`` is the closed form of the same supremum:
+pair, with no vertex or concavity shortcut, and keeps no grid between
+calls.  Its ``d`` columns are split among forked workers, one chunk per
+usable CPU, bit for bit as in one process; a single chunk forks nothing.
+``sup_bound_closed`` is the closed form of the same supremum:
 
     0                          if K d^2  <  -4 pi^2
     (pi/d + K d / (4 pi))^2    if K d^2 in [-4 pi^2, 4 pi^2]
@@ -39,7 +39,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +62,7 @@ __all__ = [
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
-# points per block of the grid oracle: three float64 block buffers stay in cache
+# points per s-grid block: the grid oracle's three float64 block buffers stay in cache
 _BLOCK = 2**15
 _BLOCK_OFFSETS = np.arange(1, _BLOCK + 1, dtype=np.float64)
 _BLOCK_OFFSETS.setflags(write=False)
@@ -126,15 +125,6 @@ def gap_expression(s, K: float, d: float):
     return _numerator(s) / d**2 + s * K
 
 
-@lru_cache(maxsize=4)
-def _grid_numerators(grid_size: int) -> np.ndarray:
-    """``_numerator`` on the uniform grid {i/(grid_size+1)}, endpoints excluded."""
-    s = np.arange(1, grid_size + 1, dtype=np.float64) / (grid_size + 1)
-    q = _numerator(s)
-    q.setflags(write=False)
-    return q
-
-
 def sup_bound_grid(inp: BoundInput, grid_size: int = 10**6) -> float:
     """Maximize the gap expression over a uniform interior s-grid.
 
@@ -151,25 +141,33 @@ def _block_max(values: np.ndarray) -> float:
     return float(values.max())
 
 
-def _sweep_columns(Ks: list[float], ds: list[float], grid_size: int) -> np.ndarray:
-    """The block loop of ``sup_bound_grid_sweep`` over the columns ``ds``.
+def _grid_blocks(grid_size: int):
+    """The uniform interior grid {i/(grid_size+1)}, one block at a time.
 
-    Takes validated floats; ``_grid_numerators(grid_size)`` is built by the
-    caller before any worker is forked, so the workers share it.
+    Each block of ``s`` is rebuilt from exact integers into one reused
+    buffer, so a block is valid only until the next one is yielded.
     """
-    q = _grid_numerators(grid_size)
-    best = np.zeros((len(Ks), len(ds)))
-    n = min(_BLOCK, grid_size)
-    s = np.empty(n)
-    scaled = np.empty(n)
-    values = np.empty(n)
+    s = np.empty(min(_BLOCK, grid_size))
     for lo in range(0, grid_size, _BLOCK):
-        k = min(_BLOCK, grid_size - lo)
-        sk, qk, vk = s[:k], scaled[:k], values[:k]
-        np.add(_BLOCK_OFFSETS[:k], lo, out=sk)
+        sk = s[: min(_BLOCK, grid_size - lo)]
+        np.add(_BLOCK_OFFSETS[: len(sk)], lo, out=sk)
         np.divide(sk, grid_size + 1, out=sk)
+        yield sk
+
+
+def _sweep_columns(Ks: list[float], ds: list[float], grid_size: int) -> np.ndarray:
+    """The block loop of ``sup_bound_grid_sweep`` over validated ``Ks`` and ``ds``."""
+    best = np.zeros((len(Ks), len(ds)))
+    scaled = np.empty(min(_BLOCK, grid_size))
+    values = np.empty_like(scaled)
+    for sk in _grid_blocks(grid_size):
+        qk, vk = scaled[: len(sk)], values[: len(sk)]
         for j, d in enumerate(ds):
-            np.divide(q[lo : lo + k], d**2, out=qk)
+            # ((1 - s) s) 4 pi^2 is _numerator(s) bit for bit: a factor 4 is exact
+            np.subtract(1.0, sk, out=qk)
+            np.multiply(qk, sk, out=qk)
+            np.multiply(qk, _FOUR_PI_SQ, out=qk)
+            np.divide(qk, d**2, out=qk)
             for i, K in enumerate(Ks):
                 np.multiply(sk, K, out=vk)
                 np.add(qk, vk, out=vk)
@@ -193,12 +191,13 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     ``sup_bound_closed``.
 
     The grid is walked once, in cache-sized blocks through three reused
-    buffers: per block ``s`` is rebuilt from exact integers, per d the
-    cached ``q = _numerator(s)`` is divided by ``d^2``, and per K the
-    block of ``q / d^2 + s K`` is formed and its maximum folded into
-    ``best``.  Each value is formed as ``gap_expression`` forms it, so
-    every entry equals the maximum of ``gap_expression`` over the grid
-    bit for bit.  Each pair is validated as a ``BoundInput``.
+    buffers, and no grid is kept between calls: per block ``s`` is rebuilt
+    from exact integers, per d ``q / d^2`` with ``q = _numerator(s)`` is
+    formed from that block's ``s``, and per K the block of ``q / d^2 + s K``
+    is formed and its maximum folded into ``best``.  Each value is formed
+    as ``gap_expression`` forms it, so every entry equals the maximum of
+    ``gap_expression`` over the grid bit for bit.  Each pair is validated
+    as a ``BoundInput``.
 
     The ``d`` values are split into one contiguous chunk per usable CPU
     (``os.sched_getaffinity``), at most one per value.  This process
@@ -215,7 +214,6 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     for K in Ks:
         for d in ds:
             BoundInput(K=K, d=d)
-    _grid_numerators(grid_size)  # built before the fork: workers share it copy-on-write
     # platforms without sched_getaffinity (macOS, Windows) sweep in one chunk
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_chunks = max(1, min(len(ds), cpus))
@@ -228,8 +226,8 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     edges = [len(ds) * c // n_chunks for c in range(n_chunks + 1)]
     spans = list(zip(edges[:-1], edges[1:]))
     best = np.empty((len(Ks), len(ds)))
-    # fork, not spawn: the workers inherit this module as it stands, the
-    # cached grid included, instead of importing it afresh
+    # fork, not spawn: the workers inherit this module as it stands, a
+    # patched _block_max included, instead of importing it afresh
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(n_chunks - 1, mp_context=fork) as pool:
         futures = [pool.submit(_sweep_columns, Ks, ds[lo:hi], grid_size) for lo, hi in spans[1:]]

@@ -37,6 +37,7 @@ from wittengap.bounds import (
     BoundInput,
     ShrinkerBoundInput,
     SolitonInput,
+    _grid_blocks,
     andrews_ni_bound,
     futaki_sano_bound,
     gap_expression,
@@ -111,8 +112,6 @@ HEIGHT_COEFFICIENTS = (0.0, 0.3, 0.5, 0.9)
 # (K, d) box of the closed-form vs grid sweep
 K_RANGE = (-10.0, 10.0)
 D_RANGE = (0.1, 20.0)
-# points per block of the soliton-constant grid maximum
-CONSTANT_BLOCK = 2**15
 # the flat-space model soliton: dimension, constant, sample seed
 GAUSSIAN_DIM = 3
 GAUSSIAN_LAM = 0.7
@@ -279,8 +278,7 @@ def case_soliton_constants(cfg: RunConfig) -> VerificationReport:
     # the first grid maximum, a block at a time: whole-grid temporaries
     # (16 MB each at the default size) set the suite's peak RSS
     g_max_grid, s_star_grid = -math.inf, 0.0
-    for lo in range(0, n, CONSTANT_BLOCK):
-        s = np.arange(lo + 1, min(lo + CONSTANT_BLOCK, n) + 1, dtype=np.float64) / (n + 1)
+    for s in _grid_blocks(n):
         g = 4.0 * s * (1.0 - s) / (2.0 - s)
         j = int(np.argmax(g))
         if g[j] > g_max_grid:

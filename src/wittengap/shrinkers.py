@@ -268,6 +268,9 @@ def find_abresch_langer(
     ``iteration``, the trial ``r0`` and the ``closure_residual``, which
     is the half-period minus pi p / q.
     """
+    for name, value in (("p", p), ("q", q)):
+        if not (isinstance(value, int) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if math.gcd(p, q) != 1:
         raise ValueError(f"(p, q) must be coprime, got ({p}, {q})")
     ratio = p / q

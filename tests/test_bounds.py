@@ -208,32 +208,28 @@ def test_gap_expression_matches_the_written_out_formula():
 
 
 def test_grid_oracle_allocates_no_full_grid_per_call():
+    # the first call of each is traced, at grid sizes no other test uses,
+    # so no grid kept from an earlier call can hide an allocation
     inp = BoundInput(K=1.0, d=math.pi)
-    sup_bound_grid(inp, 10**6)  # builds the cached grid
-    tracemalloc.start()
-    try:
-        sup_bound_grid(inp, 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one 10^6-point float64 temporary alone would be 8 MB
-    assert peak < 2**20
     k_values, d_values = np.linspace(-10.0, 10.0, 5), np.linspace(0.1, 20.0, 5)
-    tracemalloc.start()
-    try:
-        sup_bound_grid_sweep(k_values, d_values, 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    # tracemalloc sees this process only; a forked worker runs _sweep_columns
-    tracemalloc.start()
-    try:
-        _sweep_columns(list(k_values), list(d_values), 10**6)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    # a one-point sweep first imports and starts the fork pool machinery,
+    # whose allocations are no grid's, so the test passes run alone too
+    sup_bound_grid_sweep(k_values, d_values, 1)
+    calls = [
+        lambda: sup_bound_grid(inp, 10**6 - 1),
+        lambda: sup_bound_grid_sweep(k_values, d_values, 10**6 - 2),
+        # tracemalloc sees this process only; a forked worker runs _sweep_columns
+        lambda: _sweep_columns(list(k_values), list(d_values), 10**6 - 3),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 10^6-point float64 temporary alone would be 8 MB
+        assert peak < 2**20
 
 
 @given(K=ks, d=ds, s=ss)

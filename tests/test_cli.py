@@ -402,6 +402,14 @@ def test_shrinker_rosette_export_reuses_the_shooting(capsys, tmp_path, rosette_w
     assert counts["integrations"] == 2
 
 
+@pytest.mark.parametrize("p, q", [("1", "0"), ("-2", "-3")])
+def test_shrinker_rosette_index_out_of_range_exits_one(capsys, p, q):
+    rc, out, err = run_cli(capsys, "shrinker", "--al", p, q)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "must be an integer >= 1" in err
+
+
 def test_shrinker_needs_a_mode(capsys):
     rc, _, err = run_cli(capsys, "shrinker")
     assert rc == 2

@@ -345,6 +345,15 @@ def test_rosette_index_validation():
         find_abresch_langer(0.0, 2, 3)
 
 
+@pytest.mark.parametrize("p, q", [(1, 0), (-2, -3), (0, 1), (2.0, 3)])
+def test_rosette_index_must_be_a_positive_integer(monkeypatch, p, q):
+    # rejected before any quadrature: gcd(1, 0) == 1 used to pass into a
+    # division by zero, and -2/-3 into a root-find that found no rosette
+    monkeypatch.setattr(shrinkers, "_half_period", None)
+    with pytest.raises(ValueError, match="must be an integer >= 1"):
+        find_abresch_langer(1.0, p, q)
+
+
 def test_curve_csv_roundtrip(tmp_path, rosette23):
     path = tmp_path / "rosette.csv"
     write_curve_csv(rosette23, path)

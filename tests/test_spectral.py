@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,13 +307,28 @@ def test_shift_factor_fill_at_certified_resolution():
     assert lu.L.nnz + lu.U.nnz < 1.0e6
 
 
-def test_eigensolver_restart_cap():
-    # shift-invert converges within one restart on small circles; the
-    # round sub-4 icosphere needs two
-    mesh = build_icosphere(4)
-    with pytest.raises(EigensolverConvergenceError):
-        lambda1_witten(mesh, max_iter=1)
-    assert lambda1_witten(mesh, max_iter=2).lambda1 == pytest.approx(2.0, abs=1e-4)
+def test_eigensolver_restart_cap(monkeypatch):
+    # whether a solve needs one restart or two depends on the last bits of
+    # the shift solve, so the cap is checked where it is handed to ARPACK
+    real_eigsh = scipy.sparse.linalg.eigsh
+    caps = []
+
+    def recording(*args, **kwargs):
+        caps.append(kwargs["maxiter"])
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+    # the round sub-4 icosphere converges within two restarts
+    assert lambda1_witten(build_icosphere(4), max_iter=2).lambda1 == pytest.approx(2.0, abs=1e-4)
+    assert caps == [2]
+
+    def not_converging(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("cap hit", np.zeros(1), np.zeros((42, 1)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", not_converging)
+    with pytest.raises(EigensolverConvergenceError, match="found 1 of .* within 7 restarts") as info:
+        lambda1_witten(build_icosphere(1), max_iter=7)
+    assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
 
 
 def test_disconnected_complex_rejected():
