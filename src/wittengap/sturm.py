@@ -26,15 +26,26 @@ below eps times the matrix norm comes out to relative accuracy, down to
 the smallest normal float; one outside the normal range raises
 ``EigenvalueRangeError``.
 
-A path whose resistances and masses are both reflection-symmetric, as
+A pencil whose conductances and masses are both reflection-symmetric, as
 every ``discretize_ou`` profile is bitwise, has an even ground state.
-It is solved on its left half, with the Dirichlet end kept and the
-centre made reflecting: the same lowest eigenvalue from arrays half as
-long.  Held at one end only, the half path's Green's function is
-G_ij = P_min(i,j), with P_i the resistance between unknown i and the
-held end, so a step is two running sums and three products.  Any other
-profile is solved on the whole path, held at both ends, in the
+It is folded before anything else is formed and solved on its left half,
+with the Dirichlet end kept and the centre made reflecting: the same
+lowest eigenvalue from arrays half as long.  Held at one end only, the
+half path's Green's function is G_ij = P_min(i,j), with P_i the
+resistance between unknown i and the held end, so a step is two running
+sums and three products, run in buffers allocated once per solve.  Any
+other profile is solved on the whole path, held at both ends, in the
 semiseparable form of its Green's function.
+
+``raw_lambda1`` and the Richardson pair never build the whole OU pencil:
+they form the weight at the left half's centres and faces only, the same
+bits as the start of ``discretize_ou``'s arrays, and solve that half
+path with the same routine, so they return ``lowest_eigenvalue``'s bits.
+The pair's 2m solve starts from the m solve's eigenvector, carried to
+the finer grid by copying and averaging neighbours (``_prolong``), and
+needs about 4.2 power steps on the criterion-01 box instead of 6.4
+(Neumann) or 10.5 (Dirichlet); the extrapolated value moves only at
+round-off, within about 2e-14 relative.
 
 Two structural facts make good cross-checks and are exploited by the test
 suite:
@@ -87,9 +98,11 @@ EXPONENT_GUARD = 700.0
 # h = 2^-344 at m = 8 and 2^-427 at m = 2000; this keeps 104 bits more.
 MIN_CELL_WIDTH = 2.0**-240
 
-# inverse-iteration steps before ``IterationCapError``; the criterion-01
-# box takes at most 20 (Dirichlet, 10.5 on average) and 15 (Neumann, 6.4 to
-# 6.8 on average) at m = 2000 and 4000
+# inverse-iteration steps before ``IterationCapError``; on the criterion-01
+# box a cold start takes at most 20 (Dirichlet, 10.5 on average) and 15
+# (Neumann, 6.4 to 6.8 on average) at m = 2000 and 4000, and the 4000 solve
+# of a Richardson pair, started from the 2000 one's eigenvector, at most 9
+# (4.2 on average) for either condition
 ITERATION_CAP = 100
 
 # the iterate is held at least this far below its largest entry: lower
@@ -103,6 +116,8 @@ _TINY = float(np.finfo(np.float64).tiny)
 # np.cumsum bit for bit, without its Python-level dispatch (about 2 us a
 # call, a tenth of a step at n = 1000)
 _running_sum = np.add.accumulate
+# ndarray.max bit for bit, likewise
+_largest = np.maximum.reduce
 
 NEUMANN = "neumann"
 DIRICHLET = "dirichlet"
@@ -146,6 +161,8 @@ class OUProblem:
             raise IntervalLengthError(
                 f"interval length d = {self.d!r} is too large: d^2 overflows float64"
             )
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"cell count m must be an integer, got {self.m!r}")
         if self.m < 8:
             raise ValueError(f"cell count m must be at least 8, got {self.m}")
         h = self.d / self.m
@@ -221,6 +238,25 @@ def _weight(K: float, d: float, x: np.ndarray) -> np.ndarray:
     return np.ldexp(np.exp(-0.5 * K * x * x), 2 * round(K * d * d / (32.0 * math.log(2.0))))
 
 
+def _ou_profile(problem: OUProblem, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The OU profile's conductances w/h and masses w h, or the first
+    ``count`` of each (see ``discretize_ou``).
+
+    The m cell centres and the m - 1 interior faces are the two staggered
+    grids.  A leading part of either is the same bits as the start of the
+    whole, so the half path is built without the other half.
+    """
+    K, d, m = problem.K, problem.d, problem.m
+    h = d / m
+    n_centres, n_faces = (m, m - 1) if count is None else (count, count)
+    # centered index coordinates: x = (i - center) h is exactly odd under
+    # i -> (last - i), so the weight arrays are exactly reflection-symmetric
+    centres = (np.arange(n_centres) - 0.5 * (m - 1)) * h
+    faces = (np.arange(1, n_faces + 1) - 0.5 * m) * h
+    links, nodes = (faces, centres) if problem.bc == NEUMANN else (centres, faces)
+    return _weight(K, d, links) / h, _weight(K, d, nodes) * h
+
+
 def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     """Symmetric finite-volume discretization of L on (-d/2, d/2).
 
@@ -235,16 +271,8 @@ def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     second order; the stiffness is positive semidefinite by construction.
     w carries the constant factor of ``_weight``, which both sides share.
     """
-    K, d, m = problem.K, problem.d, problem.m
-    h = d / m
-    # centered index coordinates: x = (i - center) h is exactly odd under
-    # i -> (last - i), so the weight arrays are exactly reflection-symmetric
-    centres = (np.arange(m) - 0.5 * (m - 1)) * h
-    faces = (np.arange(1, m) - 0.5 * m) * h
-    nodes, links = (centres, faces) if problem.bc == NEUMANN else (faces, centres)
-    return TridiagonalPencil(
-        conductances=_weight(K, d, links) / h, mass=_weight(K, d, nodes) * h, bc=problem.bc
-    )
+    conductances, mass = _ou_profile(problem)
+    return TridiagonalPencil(conductances=conductances, mass=mass, bc=problem.bc)
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -262,70 +290,121 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _generators(
-    resistances: np.ndarray, masses: np.ndarray, start: np.ndarray
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """The product z -> A z with A = M^{1/2} G M^{1/2}, and the start
-    restricted to the path it acts on.
+def _solved_path(
+    conductances: np.ndarray, mass: np.ndarray, bc: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resistances and masses of the Dirichlet path the solver iterates on,
+    from a pencil's profile or a leading part of it: the pencil itself for
+    Dirichlet, and for Neumann its dual on the links (resistances =
+    masses, masses = 1 / conductances), which has the Neumann pencil's
+    nonzero spectrum and no zero mode."""
+    if bc == NEUMANN:
+        return mass, 1.0 / conductances
+    return 1.0 / conductances, mass
 
-    A path whose resistances and masses both equal their own reversal is
-    folded onto its left half.  Its ground state is positive, hence even,
-    so the half path with the Dirichlet end kept and the centre made
-    reflecting has the same lowest eigenvalue.  An odd unknown count
-    keeps the centre unknown with half its mass (and the start entry
-    scaled by sqrt(1/2), which keeps the start the restriction of the
-    full one); an even count drops the centre link, which carries no
-    flux.  Grounded at one end only, the half path's Green's function is
-    G_ij = P_min(i,j), where P_i sums the resistances r up to unknown i.
-    So A z = root * cumsum(r * revcumsum(root * z)) with root = M^{1/2}:
-    two running sums and three products, and no resistance sum is formed.
 
-    Any other path keeps both ends: G_ij = P_min(i,j) Q_max(i,j) / P_tot,
-    where P_i and Q_i are the resistances to the left and to the right
-    of unknown i and P_tot their sum.  Then A_ij = a_min(i,j) b_max(i,j)
+def _cold_start(conductances: np.ndarray, mass: np.ndarray, bc: str) -> np.ndarray:
+    """The start in the symmetric variable z = M^{1/2} v of the solved path.
+
+    A Dirichlet pencil starts from z = 1.  The Neumann dual starts from
+    the fluxes c h of u = x, which are z = h sqrt(c): close to the first
+    mode where the next eigenvalue is only twice as large and power steps
+    are slowest.
+    """
+    return np.sqrt(conductances) if bc == NEUMANN else np.ones(mass.shape[0])
+
+
+def _half_path(
+    conductances: np.ndarray,
+    mass: np.ndarray,
+    bc: str,
+    centre: bool,
+    start: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue of a reflection-symmetric pencil from the left
+    half of its profile, and its eigenvector there.
+
+    ``conductances`` and ``mass`` are the first (n + 1) // 2 entries of
+    each, n the unknown count of the solved path (see ``_solved_path``).
+    Its ground state is positive, hence even, so the half path with the
+    Dirichlet end kept and the centre made reflecting has the same lowest
+    eigenvalue.  With ``centre`` (n odd) the last unknown is the centre
+    one and keeps half its mass (and the cold start's entry is scaled by
+    sqrt(1/2), which keeps it the restriction of the whole one);
+    otherwise the dropped centre link carries no flux.  Grounded at one
+    end only, the half path's Green's function is G_ij = P_min(i,j),
+    where P_i sums the resistances r up to unknown i.  So
+    A z = root * cumsum(r * revcumsum(root * z)) with root = M^{1/2}: two
+    running sums and three products, and no resistance sum is formed.
+
+    ``start``, if given, and the returned eigenvector are in the solved
+    path's own variable v = M^{-1/2} z, where the half path is the plain
+    restriction of the whole; without a start the solve begins from
+    ``_cold_start``.
+    """
+    r, masses = _solved_path(conductances, mass, bc)
+    root = np.sqrt(masses)
+    if centre:
+        root[-1] = math.sqrt(0.5 * masses[-1])
+    if start is None:
+        start = _cold_start(conductances, mass, bc)
+        if centre:
+            start[-1] *= math.sqrt(0.5)
+    else:
+        start = root * start
+    t = np.empty_like(root)
+    reverse = t[::-1]
+
+    def one_ended(z: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(root, z, out=t)
+        # in place on the reversed view: the reverse running sum, bit for bit
+        _running_sum(reverse, out=reverse)
+        np.multiply(t, r, out=t)
+        _running_sum(t, out=t)
+        np.multiply(root, t, out=out)
+
+    lam, w = _power_iteration(one_ended, start)
+    return lam, np.divide(w, root, out=w)
+
+
+def _two_ended(
+    resistances: np.ndarray, masses: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The product A z of a path held at both ends, written into ``out``.
+
+    The Green's function is G_ij = P_min(i,j) Q_max(i,j) / P_tot, where
+    P_i and Q_i are the resistances to the left and to the right of
+    unknown i and P_tot their sum.  Then A_ij = a_min(i,j) b_max(i,j)
     with the generators a = M^{1/2} P / sqrt(P_tot) and
     b = M^{1/2} Q / sqrt(P_tot), each a compensated prefix sum.
     """
-    if np.array_equal(resistances, resistances[::-1]) and np.array_equal(masses, masses[::-1]):
-        n = masses.shape[0]
-        half = (n + 1) // 2
-        r = resistances[:half]
-        root = np.sqrt(masses[:half])
-        start = start[:half].copy()
-        if n % 2:
-            root[-1] = math.sqrt(0.5 * masses[half - 1])
-            start[-1] *= math.sqrt(0.5)
-
-        def one_ended(z: np.ndarray) -> np.ndarray:
-            return root * _running_sum(r * _running_sum((root * z)[::-1])[::-1])
-
-        return one_ended, start
     cum = _prefix_sums(resistances)
     scale = np.sqrt(masses) / math.sqrt(cum[-1])
     a = cum[:-1] * scale
     b = _prefix_sums(resistances[:0:-1])[::-1] * scale
 
-    def two_ended(z: np.ndarray) -> np.ndarray:
+    def two_ended(z: np.ndarray, out: np.ndarray) -> None:
         right = _running_sum((b * z)[::-1])[::-1]
-        w = b * _running_sum(a * z)
-        w[:-1] += a[:-1] * right[1:]
-        return w
+        np.multiply(b, _running_sum(a * z), out=out)
+        out[:-1] += a[:-1] * right[1:]
 
-    return two_ended, start
+    return two_ended
 
 
-def _lowest(resistances: np.ndarray, masses: np.ndarray, start: np.ndarray) -> float:
-    """Smallest eigenvalue of a Dirichlet path pencil, by inverse iteration.
+def _power_iteration(
+    step: Callable[[np.ndarray, np.ndarray], None], w: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of a Dirichlet path pencil, by inverse iteration,
+    and the last iterate.
 
-    The path has n unknowns with positive ``masses`` and n + 1 links with
-    positive ``resistances`` (inverse conductances); both ends are held at
-    0.  The stiffness inverse is the path's Green's function G, and
-    ``_generators`` gives the product with A = M^{1/2} G M^{1/2}: on a
-    reflection-symmetric path, folded onto its half, two running sums and
-    three products; on any other path, two running sums of the
-    semiseparable form.  A is invariant under a common scale of the
-    conductances and masses, and every iterate is normalized by its
-    largest entry, so a power-of-two scale of both changes no bit.
+    ``step(z, out)`` writes A z into ``out``, with A = M^{1/2} G M^{1/2}
+    and G the path's Green's function: on a folded half path two running
+    sums and three products (``_half_path``), on any other path two
+    running sums of the semiseparable form (``_two_ended``).  ``w`` is
+    the start and is overwritten by the iterates.  A is invariant under a
+    common scale of the conductances and masses, and every iterate is
+    normalized by its largest entry, so a power-of-two scale of both
+    changes no bit.
 
     The Schwarz quotient z.z / z.Az of the power iteration z <- A z is
     nonincreasing and bounds the eigenvalue from above; the iteration
@@ -335,38 +414,39 @@ def _lowest(resistances: np.ndarray, masses: np.ndarray, start: np.ndarray) -> f
     cannot overflow and an eigenvalue down to the smallest normal float
     comes out.  ``EigenvalueRangeError`` is raised where a step overflows
     (the eigenvalue lies below about 1 / max float) or the quotient, an
-    upper bound, falls below the smallest normal float.
+    upper bound, leaves the normal float range.
     """
-    step, w = _generators(resistances, masses, start)
-    top = w.max()
+    n = w.shape[0]
+    z = np.empty(n)
+    top = float(_largest(w))
     lam = math.inf
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for _ in range(ITERATION_CAP):
-                z = np.maximum(w, TAIL_FLOOR * top) / top
-                w = step(z)
-                top = w.max()
+                np.maximum(w, TAIL_FLOOR * top, out=z)
+                z /= top
+                step(z, w)
+                top = float(_largest(w))
                 # a power of two brings A z below 1 exactly: the quotient
                 # keeps its bits, and z.Az cannot overflow
                 scale = math.ldexp(1.0, -math.frexp(top)[1])
                 w *= scale
                 top *= scale
-                quotient = (z @ z) / (z @ w) * scale
-                if quotient < _TINY:
+                quotient = float(z @ z) / float(z @ w) * scale
+                if not _TINY <= quotient < math.inf:
                     raise EigenvalueRangeError(
-                        f"lowest eigenvalue on {masses.shape[0]} unknowns is below the "
-                        f"normal float64 range (quotient {float(quotient)!r})"
+                        f"lowest eigenvalue on {n} unknowns is outside the normal "
+                        f"float64 range (quotient {quotient!r})"
                     )
                 if quotient >= lam * (1.0 - 4.0 * _EPS):
-                    return float(min(quotient, lam))
+                    return min(quotient, lam), w
                 lam = quotient
     except (FloatingPointError, OverflowError) as exc:
         raise EigenvalueRangeError(
-            f"lowest eigenvalue on {masses.shape[0]} unknowns is outside the normal "
-            f"float64 range ({exc})"
+            f"lowest eigenvalue on {n} unknowns is outside the normal float64 range ({exc})"
         ) from exc
     raise IterationCapError(
-        f"inverse iteration on {masses.shape[0]} unknowns did not settle "
+        f"inverse iteration on {n} unknowns did not settle "
         f"in {ITERATION_CAP} steps (last quotient {lam!r})"
     )
 
@@ -374,36 +454,78 @@ def _lowest(resistances: np.ndarray, masses: np.ndarray, start: np.ndarray) -> f
 def lowest_eigenvalue(pencil: TridiagonalPencil) -> float:
     """First nonzero eigenvalue of S v = lam M v for Neumann, smallest for Dirichlet.
 
-    A Neumann pencil is solved as its dual on the links (resistances =
-    masses, masses = 1 / conductances), whose spectrum is the Neumann
-    pencil's without the zero mode.  The starts are given in the
-    symmetric variable z = M^{1/2} v.  A Dirichlet pencil starts from
-    z = 1.  The dual starts from the fluxes c h of u = x, which are
-    z = h sqrt(c): close to the first mode where the next eigenvalue is
-    only twice as large and power steps are slowest.  A reflection-
-    symmetric pencil, such as every OU pencil, is solved on half of its
-    path, held at one end, from the restriction of its start: two running
-    sums and three products a step (see ``_generators``).  An eigenvalue
-    outside the normal float64 range raises ``EigenvalueRangeError``.
+    A Neumann pencil is solved as its dual on the links, whose spectrum
+    is the Neumann pencil's without the zero mode (see ``_solved_path``
+    and ``_cold_start``).  A pencil whose conductances and masses both
+    equal their own reversal, such as every OU pencil, is folded before
+    anything else is formed and solved on the left half of its path, held
+    at one end: two running sums and three products a step (see
+    ``_half_path``).  Any other pencil is solved on the whole path.  An
+    eigenvalue outside the normal float64 range raises
+    ``EigenvalueRangeError``.
     """
-    c = pencil.conductances
-    if pencil.n < (2 if pencil.bc == NEUMANN else 1):
-        raise ValueError(f"a {pencil.bc} pencil with {pencil.n} unknowns has no such eigenvalue")
-    if pencil.bc == NEUMANN:
-        return _lowest(pencil.mass, 1.0 / c, np.sqrt(c))
-    return _lowest(1.0 / c, pencil.mass, np.ones(pencil.n))
+    c, mass, bc = pencil.conductances, pencil.mass, pencil.bc
+    if pencil.n < (2 if bc == NEUMANN else 1):
+        raise ValueError(f"a {bc} pencil with {pencil.n} unknowns has no such eigenvalue")
+    # unknowns of the solved path: the links of a Neumann pencil
+    n = c.shape[0] if bc == NEUMANN else pencil.n
+    if np.array_equal(c, c[::-1]) and np.array_equal(mass, mass[::-1]):
+        half = (n + 1) // 2
+        return _half_path(c[:half], mass[:half], bc, n % 2 == 1)[0]
+    resistances, masses = _solved_path(c, mass, bc)
+    return _power_iteration(_two_ended(resistances, masses), _cold_start(c, mass, bc))[0]
+
+
+def _ou_lowest(problem: OUProblem, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """``lowest_eigenvalue(discretize_ou(problem))`` bit for bit, from the
+    left half of the profile alone, and the eigenvector on the half path.
+
+    The OU profile is reflection-symmetric by construction, so no whole
+    pencil is built or compared with its reversal.  The solved path has
+    m - 1 unknowns for either condition, so an even m keeps the centre
+    unknown and an odd m drops the centre link.
+    """
+    m = problem.m
+    conductances, mass = _ou_profile(problem, m // 2)
+    return _half_path(conductances, mass, problem.bc, m % 2 == 0, start)
+
+
+def _prolong(v: np.ndarray, m: int) -> np.ndarray:
+    """A half-path eigenvector of the OU problem on m cells (in the solved
+    path's variable v, see ``_half_path``), carried to 2m cells.
+
+    The solved unknowns of either condition sit on the faces, and the
+    coarse face i is the fine face 2i.  So the even fine unknowns, counted
+    from the held end, copy the coarse ones, and each odd one is the mean
+    of its two neighbours, with 0 at the held end.  At odd m the last fine
+    unknown is the centre, whose right neighbour is the mirror of its
+    left.  The vector stays positive, and no difference is formed.
+    """
+    k = v.shape[0]
+    fine = np.empty(m)
+    fine[1 : 2 * k : 2] = v
+    fine[0] = 0.5 * v[0]
+    fine[2 : 2 * k : 2] = 0.5 * (v[:-1] + v[1:])
+    if m % 2:
+        fine[-1] = v[-1]
+    return fine
 
 
 def raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
     """First nonzero eigenvalue of L on m cells, without extrapolation."""
-    return lowest_eigenvalue(discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc)))
+    return _ou_lowest(OUProblem(K=K, d=d, m=m, bc=bc))[0]
 
 
 def _richardson_lambda1(K: float, d: float, m: int, bc: str) -> float:
     """Solves at m and 2m cells and returns (4 lam_{2m} - lam_m) / 3,
-    which cancels the leading h^2 error of the finite-volume scheme."""
-    coarse = raw_lambda1(K, d, m, bc)
-    fine = raw_lambda1(K, d, 2 * m, bc)
+    which cancels the leading h^2 error of the finite-volume scheme.
+
+    The 2m solve starts from the m solve's eigenvector, prolonged (see
+    ``_prolong``), which cuts its power steps on the criterion-01 box
+    from 6.4 (Neumann) and 10.5 (Dirichlet) to 4.2 on average.
+    """
+    coarse, v = _ou_lowest(OUProblem(K=K, d=d, m=m, bc=bc))
+    fine = _ou_lowest(OUProblem(K=K, d=d, m=2 * m, bc=bc), _prolong(v, m))[0]
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -1,6 +1,7 @@
 """Drift-Laplacian interval eigensolver against dense oracles and exact values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,14 +123,18 @@ def _solved_lengths(monkeypatch):
     # unknown counts of the paths the solver iterates on: (n + 1) // 2 on a
     # folded path of n unknowns, n on the whole path
     lengths = []
-    generators = sturm._generators
+    half_path, two_ended = sturm._half_path, sturm._two_ended
 
-    def spy(resistances, masses, start):
-        step, start = generators(resistances, masses, start)
-        lengths.append(start.shape[0])
-        return step, start
+    def half_spy(conductances, mass, *args):
+        lengths.append(mass.shape[0])
+        return half_path(conductances, mass, *args)
 
-    monkeypatch.setattr(sturm, "_generators", spy)
+    def whole_spy(resistances, masses):
+        lengths.append(masses.shape[0])
+        return two_ended(resistances, masses)
+
+    monkeypatch.setattr(sturm, "_half_path", half_spy)
+    monkeypatch.setattr(sturm, "_two_ended", whole_spy)
     return lengths
 
 
@@ -170,6 +175,81 @@ def test_folded_and_whole_path_agree_on_a_random_mirrored_profile(monkeypatch, b
     links = n - 1 if bc == NEUMANN else n + 1
     pen = TridiagonalPencil(conductances=_mirrored(rng, links), mass=_mirrored(rng, n), bc=bc)
     _assert_fold_agrees(monkeypatch, pen, m)
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("m", [8, 9, 500, 501, 2000, 4001])
+@pytest.mark.parametrize("K", [3.0, 0.0, -4.0])
+def test_direct_half_path_gives_the_pencil_solve_bits(bc, m, K):
+    # raw_lambda1 builds only the left half of the OU profile and solves it
+    # without the pencil or its symmetry scan: the same arrays, the same bits
+    problem = OUProblem(K=K, d=2.5, m=m, bc=bc)
+    pen = discretize_ou(problem)
+    conductances, mass = sturm._ou_profile(problem, m // 2)
+    assert np.array_equal(conductances, pen.conductances[: m // 2])
+    assert np.array_equal(mass, pen.mass[: m // 2])
+    assert raw_lambda1(K, 2.5, m, bc) == lowest_eigenvalue(pen)
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("m", [8, 2000])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_direct_half_path_bits_at_the_guards(bc, m, sign):
+    # K just inside the exponent guard, at an ordinary width and at the
+    # smallest cell width the solver takes
+    for d in (0.0999, MIN_CELL_WIDTH * m):
+        K = sign * EXPONENT_GUARD * 8.0 / d**2 * (1.0 - 1e-12)
+        pen = discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc))
+        assert raw_lambda1(K, d, m, bc) == lowest_eigenvalue(pen)
+
+
+def test_prolongation_layout():
+    # coarse unknowns land on the even fine ones counted from the held end;
+    # the odd ones take the mean of their neighbours, 0 at the held end and
+    # the mirror image past an odd m's centre
+    v = np.array([2.0, 6.0])
+    assert sturm._prolong(v, 4).tolist() == [1.0, 2.0, 4.0, 6.0]
+    assert sturm._prolong(v, 5).tolist() == [1.0, 2.0, 4.0, 6.0, 6.0]
+
+
+def _box_subsample():
+    # a 10 x 10 subsample of the criterion-01 lattice, corners included
+    pick = np.linspace(0, 49, 10).round().astype(int)
+    Ks = np.linspace(-10.0, 10.0, 50)[pick]
+    ds = np.linspace(0.1, 20.0, 50)[pick]
+    return [(float(K), float(d)) for K in Ks for d in ds]
+
+
+def _steps_on(monkeypatch, length):
+    # power steps taken on paths of the given unknown count
+    count = [0]
+    power_iteration = sturm._power_iteration
+
+    def spy(step, w):
+        def counted(z, out):
+            count[0] += z.shape[0] == length
+            step(z, out)
+
+        return power_iteration(counted, w)
+
+    monkeypatch.setattr(sturm, "_power_iteration", spy)
+    return count
+
+
+@pytest.mark.parametrize("solve", [neumann_lambda1, dirichlet_lambda1])
+@pytest.mark.parametrize("m", [2000, 2001])
+def test_warm_started_fine_solve_agrees_with_a_cold_one(monkeypatch, solve, m):
+    # the 2m solve starts from the m solve's eigenvector; the fine half path
+    # has m unknowns and the coarse one m // 2
+    points = _box_subsample()
+    steps = _steps_on(monkeypatch, m)
+    warm = np.array([solve(K, d, m) for K, d in points])
+    warm_steps = steps[0]
+    steps[0] = 0
+    monkeypatch.setattr(sturm, "_prolong", lambda v, m: None)
+    cold = np.array([solve(K, d, m) for K, d in points])
+    assert np.all(np.abs(warm - cold) <= 1e-13 * np.abs(cold))
+    assert warm_steps < steps[0]
 
 
 def _tridiagonal_oracle(pen):
@@ -539,6 +619,15 @@ def test_negative_curvature_corner_of_the_box():
     assert rep.passed
     assert math.isfinite(rep.computed["lambda1_ou"])
     assert rep.computed["lambda1_ou"] > 0.0
+
+
+@pytest.mark.parametrize("m", [2000.5, 2000.0, True, "2000"])
+def test_cell_count_must_be_an_integer(m):
+    # np.arange(2000.5) built 2001 cells, and 2000.5 solved to 2.99878
+    with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {m!r}")):
+        raw_lambda1(1.0, 2.0, m, NEUMANN)
+    # a numpy integer is an integer
+    assert raw_lambda1(1.0, 2.0, np.int64(500), NEUMANN) == raw_lambda1(1.0, 2.0, 500, NEUMANN)
 
 
 def test_problem_validation():
