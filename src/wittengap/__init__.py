@@ -18,6 +18,7 @@ weighted spaces, each reduced to margins in a machine-readable report:
 
 from wittengap.bounds import (
     BoundInput,
+    GridSweep,
     OptimalS,
     ShrinkerBoundInput,
     SolitonDiameterBounds,
@@ -79,6 +80,7 @@ __all__ = [
     "BoundInput",
     "EigensolverConvergenceError",
     "FundamentalArc",
+    "GridSweep",
     "OptimalS",
     "OUProblem",
     "SCHEMA_VERSION",

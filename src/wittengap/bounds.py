@@ -11,8 +11,10 @@ every pair of a K list and a d list in one pass over the grid, and
 ``sup_bound_grid`` is its one-pair call.  It is the one grid oracle, kept
 independent of the closed form: it evaluates every grid point for every
 pair, with no vertex or concavity shortcut, and keeps no grid between
-calls.  Its ``d`` columns are split among forked workers, one chunk per
-usable CPU, bit for bit as in one process; a single chunk forks nothing.
+calls.  ``GridSweep`` is the same sweep split so that its caller can work
+in between: it starts forked workers on the ``d`` columns, and
+``finish()`` sweeps the columns no worker has taken yet in the calling
+process, bit for bit as in one process; one usable CPU forks nothing.
 ``sup_bound_closed`` is the closed form of the same supremum:
 
     0                          if K d^2  <  -4 pi^2
@@ -44,6 +46,7 @@ import numpy as np
 
 __all__ = [
     "BoundInput",
+    "GridSweep",
     "SolitonInput",
     "ShrinkerBoundInput",
     "OptimalS",
@@ -190,52 +193,98 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     every grid point of every pair, kept as the independent oracle for
     ``sup_bound_closed``.
 
-    The grid is walked once, in cache-sized blocks through three reused
-    buffers, and no grid is kept between calls: per block ``s`` is rebuilt
-    from exact integers, per d ``q / d^2`` with ``q = _numerator(s)`` is
-    formed from that block's ``s``, and per K the block of ``q / d^2 + s K``
-    is formed and its maximum folded into ``best``.  Each value is formed
-    as ``gap_expression`` forms it, so every entry equals the maximum of
+    The grid is walked in cache-sized blocks through three reused buffers,
+    and no grid is kept between calls: per block ``s`` is rebuilt from
+    exact integers, per d ``q / d^2`` with ``q = _numerator(s)`` is formed
+    from that block's ``s``, and per K the block of ``q / d^2 + s K`` is
+    formed and its maximum folded into ``best``.  Each value is formed as
+    ``gap_expression`` forms it, so every entry equals the maximum of
     ``gap_expression`` over the grid bit for bit.  Each pair is validated
     as a ``BoundInput``.
 
-    The ``d`` values are split into one contiguous chunk per usable CPU
-    (``os.sched_getaffinity``), at most one per value.  This process
-    sweeps the first chunk and forked workers the others; ``best`` is
-    assembled by column.  A column's entries depend on no other column, so
-    the split leaves every entry bit for bit as it was.  A single chunk
-    (one CPU, one ``d``) forks nothing.  A worker's exception is raised
-    here, and no partial ``best`` is returned.
+    This is ``GridSweep`` started and finished at once: forked workers
+    and this process share the ``d`` columns, and a worker's exception is
+    raised here with no partial ``best`` returned.
     """
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    Ks = [float(K) for K in Ks]
-    ds = [float(d) for d in ds]
-    for K in Ks:
-        for d in ds:
-            BoundInput(K=K, d=d)
-    # platforms without sched_getaffinity (macOS, Windows) sweep in one chunk
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_chunks = max(1, min(len(ds), cpus))
-    if n_chunks == 1:
-        return _sweep_columns(Ks, ds, grid_size)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    return GridSweep(Ks, ds, grid_size).finish()
 
-    # this process also runs the pool, so its first chunk is the smaller one
-    edges = [len(ds) * c // n_chunks for c in range(n_chunks + 1)]
-    spans = list(zip(edges[:-1], edges[1:]))
-    best = np.empty((len(Ks), len(ds)))
-    # fork, not spawn: the workers inherit this module as it stands, a
-    # patched _block_max included, instead of importing it afresh
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(n_chunks - 1, mp_context=fork) as pool:
-        futures = [pool.submit(_sweep_columns, Ks, ds[lo:hi], grid_size) for lo, hi in spans[1:]]
-        lo, hi = spans[0]
-        best[:, lo:hi] = _sweep_columns(Ks, ds[lo:hi], grid_size)
-        for (lo, hi), future in zip(spans[1:], futures):
-            best[:, lo:hi] = future.result()
-    return best
+
+class GridSweep:
+    """``sup_bound_grid_sweep`` started now and finished by ``finish()``.
+
+    The ``d`` values form a queue of columns, one ``_sweep_columns(Ks,
+    [d], grid_size)`` each.  A column's entries depend on no other column,
+    so every entry keeps its bits whichever process sweeps it.  Creating a
+    ``GridSweep`` validates every pair, forks ``min(cpus, len(ds)) - 1``
+    workers (``cpus`` from ``os.sched_getaffinity``) and queues every
+    column for them; workers take columns from the front.  Meanwhile the
+    caller may do other work.  ``finish()`` then takes the columns still
+    queued from the back and sweeps them in the calling process, one at a
+    time, until it meets the columns the workers have taken; it waits for
+    those and returns ``best``.  It never takes back one of the first
+    columns, one per worker, so a sweep with workers always runs some of
+    its columns there, however early ``finish()`` is called.  With one
+    usable CPU or one ``d`` nothing is forked and ``finish()`` sweeps every
+    column.
+
+    A worker's exception is raised by ``finish()``.  ``finish()``,
+    ``close()`` and leaving a ``with`` block shut the workers down without
+    waiting for the columns still queued; only the columns already running
+    are waited for.
+    """
+
+    def __init__(self, Ks, ds, grid_size: int = 10**6) -> None:
+        if grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {grid_size}")
+        self.Ks = [float(K) for K in Ks]
+        self.ds = [float(d) for d in ds]
+        self.grid_size = grid_size
+        for K in self.Ks:
+            for d in self.ds:
+                BoundInput(K=K, d=d)
+        # platforms without sched_getaffinity (macOS, Windows) fork nothing
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        self._n_workers = max(0, min(cpus, len(self.ds)) - 1)
+        self._pool = None
+        self._futures = []
+        if self._n_workers:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            # fork, not spawn: the workers inherit this module as it stands, a
+            # patched _block_max included, instead of importing it afresh
+            fork = multiprocessing.get_context("fork")
+            self._pool = ProcessPoolExecutor(self._n_workers, mp_context=fork)
+            self._futures = [
+                self._pool.submit(_sweep_columns, self.Ks, [d], grid_size) for d in self.ds
+            ]
+
+    def finish(self) -> np.ndarray:
+        """Sweep the columns no worker has taken, collect the rest, shut down."""
+        best = np.empty((len(self.Ks), len(self.ds)))
+        try:
+            j = len(self.ds)
+            # a queued column is this process's once cancelling its future succeeds
+            while j > self._n_workers and (not self._futures or self._futures[j - 1].cancel()):
+                j -= 1
+                best[:, j : j + 1] = _sweep_columns(self.Ks, [self.ds[j]], self.grid_size)
+            for k in range(j):
+                best[:, k : k + 1] = self._futures[k].result()
+        finally:
+            self.close()
+        return best
+
+    def close(self) -> None:
+        """Stop the workers: queued columns are dropped, running ones waited for."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+    def __enter__(self) -> GridSweep:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def sup_bound_closed(inp: BoundInput) -> float:

@@ -35,6 +35,7 @@ import numpy as np
 
 from wittengap.bounds import (
     BoundInput,
+    GridSweep,
     ShrinkerBoundInput,
     SolitonInput,
     _grid_blocks,
@@ -48,7 +49,6 @@ from wittengap.bounds import (
     sup_bound_branch,
     sup_bound_closed,
     sup_bound_grid,
-    sup_bound_grid_sweep,
 )
 from wittengap.report import SCHEMA_VERSION, VerificationReport, canonical_json, make_report
 from wittengap.shrinkers import (
@@ -87,6 +87,7 @@ from wittengap.sturm import (
 
 __all__ = [
     "RunConfig",
+    "start_closed_vs_grid",
     "sweep_closed_vs_grid",
     "case_closed_vs_grid",
     "case_soliton_constants",
@@ -185,17 +186,22 @@ def _emit(text: str, out_path: str | None) -> None:
 # acceptance tests
 
 
-def sweep_closed_vs_grid(cfg: RunConfig) -> list[tuple[float, float, float, float, float]]:
-    """Rows (K, d, sup_closed, sup_grid, abs_diff) over the configured sweep."""
-    Ks = np.linspace(*K_RANGE, cfg.n_k)
-    ds = np.linspace(*D_RANGE, cfg.n_d)
-    grids = sup_bound_grid_sweep(Ks, ds, cfg.sup_grid_size)
+def start_closed_vs_grid(cfg: RunConfig) -> GridSweep:
+    """Start the s-grid sweep of the configured (K, d) box."""
+    Ks, ds = np.linspace(*K_RANGE, cfg.n_k), np.linspace(*D_RANGE, cfg.n_d)
+    return GridSweep(Ks, ds, cfg.sup_grid_size)
+
+
+def sweep_closed_vs_grid(sweep: GridSweep) -> list[tuple[float, float, float, float, float]]:
+    """Rows (K, d, sup_closed, sup_grid, abs_diff) of a started sweep, which
+    this finishes."""
+    grids = sweep.finish()
     rows = []
-    for i, K in enumerate(Ks):
-        for j, d in enumerate(ds):
-            closed = sup_bound_closed(BoundInput(K=float(K), d=float(d)))
+    for i, K in enumerate(sweep.Ks):
+        for j, d in enumerate(sweep.ds):
+            closed = sup_bound_closed(BoundInput(K=K, d=d))
             grid = float(grids[i, j])
-            rows.append((float(K), float(d), closed, grid, abs(closed - grid)))
+            rows.append((K, d, closed, grid, abs(closed - grid)))
     return rows
 
 
@@ -206,8 +212,10 @@ def format_sweep_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def case_closed_vs_grid(cfg: RunConfig) -> VerificationReport:
-    """Grid supremum vs closed form over the sweep; branch agreement at crossover.
+def case_closed_vs_grid(cfg: RunConfig, sweep: GridSweep) -> VerificationReport:
+    """Grid supremum vs closed form over ``sweep``, started by
+    ``start_closed_vs_grid(cfg)`` and finished here; branch agreement at
+    crossover.
 
     The grid error is measured relative to max(1, |closed|): near the
     s -> 1 clamp the interior grid undershoots by about |K - 4 pi^2/d^2|
@@ -215,7 +223,7 @@ def case_closed_vs_grid(cfg: RunConfig) -> VerificationReport:
     proportional to K.  Branch agreement is likewise relative to
     max(1, |K|) since the crossover value itself grows like 1/d^2.
     """
-    rows = sweep_closed_vs_grid(cfg)
+    rows = sweep_closed_vs_grid(sweep)
     worst_rel = 0.0
     worst_K = worst_d = 0.0
     for K, d, closed, grid, diff in rows:
@@ -643,32 +651,38 @@ def case_gaussian(cfg: RunConfig) -> VerificationReport:
 
 
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
-    """All certification cases, sorted by case id.  Each complex is built
-    and solved once; the round icosphere also carries the height weights.
-    The height a = 0 multiplies by exp(-0) = 1, so its weighted complex is
-    bitwise the round sphere and reuses that solve."""
-    reports = [case_closed_vs_grid(cfg), case_soliton_constants(cfg), case_comparison_grid(cfg)]
-    # built after the s-grid cases: the icosphere build leaves heap behind
-    # that raised the suite's peak RSS by 9 MB when it came first
-    circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
-    sphere = build_icosphere(cfg.sphere_subdivisions)
-    heights = {
-        a: apply_weight(sphere, a * sphere.vertices[:, 2]) if a else sphere
-        for a in HEIGHT_COEFFICIENTS
-    }
-    reports += [case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()]
-    round_res = lambda1_witten(sphere)
-    reports += [
-        case_sphere_round(cfg, sphere, round_res),
-        *[
-            case_sphere_height(cfg, a, w, lambda1_witten(w) if a else round_res)
-            for a, w in heights.items()
-        ],
-        case_weight_shift(cfg),
-        case_circle_shrinker(circle_shrinker(1.0, cfg.circle_n)),
-        case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
-        case_gaussian(cfg),
-    ]
+    """All certification cases, sorted by case id.
+
+    The criterion-01 s-grid sweep starts first, in forked workers (see
+    ``bounds.GridSweep``), and every other case runs in this process
+    meanwhile; the sweep is then finished here and ``bounds-closed-vs-grid``
+    is built from it.  An exception in any case stops the workers before it
+    propagates.  Each complex is built and solved once; the round icosphere
+    also carries the height weights.  The height a = 0 multiplies by
+    exp(-0) = 1, so its weighted complex is bitwise the round sphere and
+    reuses that solve."""
+    with start_closed_vs_grid(cfg) as sweep:
+        reports = [case_soliton_constants(cfg), case_comparison_grid(cfg)]
+        circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
+        sphere = build_icosphere(cfg.sphere_subdivisions)
+        heights = {
+            a: apply_weight(sphere, a * sphere.vertices[:, 2]) if a else sphere
+            for a in HEIGHT_COEFFICIENTS
+        }
+        reports += [case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()]
+        round_res = lambda1_witten(sphere)
+        reports += [
+            case_sphere_round(cfg, sphere, round_res),
+            *[
+                case_sphere_height(cfg, a, w, lambda1_witten(w) if a else round_res)
+                for a, w in heights.items()
+            ],
+            case_weight_shift(cfg),
+            case_circle_shrinker(circle_shrinker(1.0, cfg.circle_n)),
+            case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
+            case_gaussian(cfg),
+        ]
+        reports.append(case_closed_vs_grid(cfg, sweep))
     return sorted(reports, key=lambda r: r.case_id)
 
 
@@ -679,7 +693,7 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
 def cmd_bounds(args: argparse.Namespace) -> int:
     cfg = RunConfig(sup_grid_size=args.grid_size)
     if args.grid:
-        rows = sweep_closed_vs_grid(cfg)
+        rows = sweep_closed_vs_grid(start_closed_vs_grid(cfg))
         _emit(format_sweep_csv(rows), args.out)
         return 0
     if args.soliton:
@@ -818,6 +832,8 @@ def _stray_reports(out_dir: str) -> list[str]:
 
 
 def cmd_verify_all(args: argparse.Namespace) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is not a directory")
     stray = _stray_reports(args.out)
     if stray:
         raise ValueError(

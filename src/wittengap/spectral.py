@@ -25,6 +25,10 @@ against 1,347,336 for scipy's default COLAMD order with row pivoting.
 The module builds no reports: the certification cases that compare these
 values with the gap bound live in ``wittengap.cli``.
 
+Each solve holds every loaded OpenBLAS to one thread (see
+``_one_blas_thread``), so its values do not depend on the thread count
+the process was started with.
+
 Only mesh solves need ``scipy.sparse``: it costs about 0.35 s and 33 MB to
 import, so ``is_connected``, ``stiffness_matrix`` and ``lambda1_witten``
 import it when first called, and ``import wittengap``, the ``bounds`` and
@@ -33,7 +37,9 @@ import it when first called, and ``import wittengap``, the ``bounds`` and
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -74,6 +80,13 @@ N_EIGS = 6
 ARPACK_TOL = 1e-10
 # parts of at most this many vertices are not dissected further
 _DISSECTION_LEAF = 32
+# (get, set) thread-count calls of an OpenBLAS: scipy's build, numpy's
+# build with 64-bit integers, and a plain system OpenBLAS
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class EigensolverConvergenceError(RuntimeError):
@@ -417,6 +430,57 @@ def _shift_factor(complex_: WeightedComplex, mu: float) -> tuple[np.ndarray, Sup
     return order, lu
 
 
+def _openblas_thread_calls() -> list[tuple]:
+    """The (get, set) thread-count calls of every OpenBLAS loaded in this process.
+
+    Libraries are found in ``/proc/self/maps`` and opened with
+    ``RTLD_NOLOAD``, so none is loaded here; without ``/proc`` the list is
+    empty.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(
+                line.split(None, 5)[5].strip() for line in fh if "openblas" in line.lower()
+            )
+    except OSError:
+        return []
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                calls.append((get, set_))
+    return calls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS to one thread, then restore the caller's counts.
+
+    A second thread reorders BLAS sums, which moves the last digits of an
+    eigensolve, and it slows SuperLU's triangular solves; beside a forked
+    grid sweep on a 2-core machine it also competes for the second core.
+    No-op where no OpenBLAS thread-count call is found.
+    """
+    calls = _openblas_thread_calls()
+    counts = [get() for get, _ in calls]
+    for _, set_ in calls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(calls, counts):
+            set_(count)
+
+
 def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralResult:
     """First nonzero eigenvalue of the weighted complex, with diagnostics.
 
@@ -437,7 +501,9 @@ def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralRe
     and the start vector is fixed, so the solve is deterministic.
     ``ARPACK_TOL`` is ARPACK's relative accuracy and ``max_iter`` its
     restart cap; when the cap is hit, ``EigensolverConvergenceError`` is
-    raised.
+    raised.  Every loaded OpenBLAS is held to one thread for the factor,
+    the solve and the residual (``_one_blas_thread``), so the values do
+    not depend on the thread count of the calling process.
     """
     from scipy import sparse  # 0.35 s and 33 MB to import; only mesh solves need it
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -450,49 +516,51 @@ def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralRe
     # ARPACK needs fewer requested pairs than vertices
     n_eigs = min(N_EIGS, n - 2)
     weights = complex_.masses
-    order, lu = _shift_factor(complex_, SHIFT)
+    # one BLAS thread for the factor, the solve and the residual
+    with _one_blas_thread():
+        order, lu = _shift_factor(complex_, SHIFT)
 
-    def shift_solve(x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        y[order] = lu.solve(x[order])
-        return y
+        def shift_solve(x: np.ndarray) -> np.ndarray:
+            y = np.empty_like(x)
+            y[order] = lu.solve(x[order])
+            return y
 
-    try:
-        values, vectors = eigsh(
-            stiffness_matrix(complex_),
-            k=n_eigs + 1,
-            M=sparse.diags(weights),
-            sigma=SHIFT,
-            which="LM",
-            v0=np.cos(0.618 * np.arange(n)),
-            ncv=min(n, max(2 * n_eigs + 3, KRYLOV_DIM)),
-            tol=ARPACK_TOL,
-            maxiter=max_iter,
-            OPinv=LinearOperator((n, n), matvec=shift_solve, dtype=np.float64),
-        )
-    except ArpackNoConvergence as exc:
-        raise EigensolverConvergenceError(
-            f"ARPACK shift-invert found {len(exc.eigenvalues)} of {n_eigs + 1} "
-            f"eigenpairs within {max_iter} restarts (tol {ARPACK_TOL:.1e})"
-        ) from exc
-    order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
-    zero_scale = abs(values[0]) / max(1.0, abs(values[-1]))
-    if zero_scale > 1e-8:
-        raise RuntimeError(f"kernel eigenvalue did not separate: {values[:2]}")
-    eigenvalues = np.asarray(values[1:], dtype=np.float64)
+        try:
+            values, vectors = eigsh(
+                stiffness_matrix(complex_),
+                k=n_eigs + 1,
+                M=sparse.diags(weights),
+                sigma=SHIFT,
+                which="LM",
+                v0=np.cos(0.618 * np.arange(n)),
+                ncv=min(n, max(2 * n_eigs + 3, KRYLOV_DIM)),
+                tol=ARPACK_TOL,
+                maxiter=max_iter,
+                OPinv=LinearOperator((n, n), matvec=shift_solve, dtype=np.float64),
+            )
+        except ArpackNoConvergence as exc:
+            raise EigensolverConvergenceError(
+                f"ARPACK shift-invert found {len(exc.eigenvalues)} of {n_eigs + 1} "
+                f"eigenpairs within {max_iter} restarts (tol {ARPACK_TOL:.1e})"
+            ) from exc
+        order = np.argsort(values)
+        values, vectors = values[order], vectors[:, order]
+        zero_scale = abs(values[0]) / max(1.0, abs(values[-1]))
+        if zero_scale > 1e-8:
+            raise RuntimeError(f"kernel eigenvalue did not separate: {values[:2]}")
+        eigenvalues = np.asarray(values[1:], dtype=np.float64)
 
-    # mass-orthogonal to constants, unit mass norm, largest entry positive
-    v = vectors[:, 1]
-    v = v - (weights @ v) / weights.sum()
-    v /= math.sqrt(float(v @ (weights * v)))
-    anchor = int(np.argmax(np.abs(v)))
-    if v[anchor] < 0.0:
-        v = -v
+        # mass-orthogonal to constants, unit mass norm, largest entry positive
+        v = vectors[:, 1]
+        v = v - (weights @ v) / weights.sum()
+        v /= math.sqrt(float(v @ (weights * v)))
+        anchor = int(np.argmax(np.abs(v)))
+        if v[anchor] < 0.0:
+            v = -v
 
-    lam1 = float(eigenvalues[0])
-    r = witten_apply(complex_, v) * weights - lam1 * weights * v
-    residual = math.sqrt(float(r @ (r / weights)))
+        lam1 = float(eigenvalues[0])
+        r = witten_apply(complex_, v) * weights - lam1 * weights * v
+        residual = math.sqrt(float(r @ (r / weights)))
 
     cluster = eigenvalues <= lam1 * 1.05 + 1e-300
     beyond = eigenvalues[~cluster]

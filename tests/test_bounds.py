@@ -2,9 +2,11 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -120,8 +122,8 @@ def test_grid_sweep_is_bit_identical_to_the_dense_maximum(grid_size):
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("n_d", [1, 2, 3, 5])
 def test_grid_sweep_split_by_d_is_bit_identical(monkeypatch, cpus, n_d):
-    # min(n_d, cpus) chunks: none, even and uneven splits, and a chunk edge
-    # inside the grid's blocks
+    # min(n_d, cpus) - 1 workers, none for one d, on a grid one point past
+    # a block
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     grid_size = 2**15 + 1
     k_values = [K for K, _ in BIT_IDENTITY_POINTS]
@@ -185,10 +187,42 @@ def _sweep_columns_failing_in_workers(Ks, ds, grid_size):
 def test_grid_sweep_raises_a_worker_exception(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_failing_in_workers)
+    # the first column is always the worker's, whatever this process takes back
     with pytest.raises(RuntimeError, match="worker chunk failed"):
         sup_bound_grid_sweep([0.0, 1.0], [1.0, 2.0, 3.0], 100)
-    # one chunk runs in this process only, so the same patch passes
+    assert multiprocessing.active_children() == []
+    # one column runs in this process only, so the same patch passes
     assert sup_bound_grid_sweep([0.0, 1.0], [1.0], 100)[1, 0] == dense_grid_sup(1.0, 1.0, 100)
+
+
+_CALLER_COLUMNS: list = []
+
+
+def _sweep_columns_slow_in_workers(Ks, ds, grid_size):
+    if os.getpid() == _PARENT_PID:
+        _CALLER_COLUMNS.extend(ds)
+    else:
+        time.sleep(0.3)
+    return _sweep_columns(Ks, ds, grid_size)
+
+
+def test_grid_sweep_caller_takes_the_queued_columns_from_the_back(monkeypatch):
+    # one worker spends 0.3 s on each column; meanwhile finish() takes every
+    # column still queued, last first, and waits only for the worker's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_slow_in_workers)
+    k_values = [K for K, _ in BIT_IDENTITY_POINTS]
+    d_values = [d for _, d in BIT_IDENTITY_POINTS[:8]]
+    grid_size = 2**15 + 1
+    _CALLER_COLUMNS.clear()
+    best = sup_bound_grid_sweep(k_values, d_values, grid_size)
+    taken = list(_CALLER_COLUMNS)
+    # the worker owns its running column and at most the two that the
+    # process pool has already moved to its call queue
+    assert len(d_values) - 3 <= len(taken) <= len(d_values) - 1
+    assert taken == d_values[::-1][: len(taken)]
+    assert multiprocessing.active_children() == []
+    assert np.array_equal(best, _sweep_columns(k_values, d_values, grid_size))
 
 
 def test_grid_sweep_validates_every_pair():

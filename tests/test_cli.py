@@ -3,6 +3,7 @@
 import filecmp
 import json
 import math
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -12,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wittengap.bounds as bounds
 import wittengap.cli as cli
 import wittengap.shrinkers as shrinkers
 import wittengap.spectral as spectral
+from wittengap.bounds import _sweep_columns
 from wittengap.cli import RunConfig, build_parser, main, run_suite
 from wittengap.report import canonical_json
 
@@ -451,6 +454,7 @@ NUMPY_ONLY_SCRIPT = """
 import contextlib, io, json, sys
 import wittengap
 from wittengap import cli
+pools = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
 with contextlib.redirect_stdout(io.StringIO()):
     rcs = [
         cli.main(["ou", "--K", "3", "--d", "7", "--verify"]),
@@ -458,13 +462,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     ]
     before = sorted(m for m in sys.modules if m.startswith("scipy"))
     rcs.append(cli.main(["spectral", "--case", "circle", "--n", "1000"]))
-print(json.dumps({"rcs": rcs, "before": before, "after": "scipy.sparse.linalg" in sys.modules}))
+print(json.dumps({
+    "rcs": rcs, "pools": pools, "before": before, "after": "scipy.sparse.linalg" in sys.modules
+}))
 """
 
 
 def test_interval_commands_do_not_load_scipy():
     # scipy.sparse costs about 0.35 s and 33 MB to import; only mesh
-    # solves need it, so the package, bounds and ou start on numpy alone
+    # solves need it, so the package, bounds and ou start on numpy alone.
+    # The process pool of the grid sweep is imported when a sweep forks.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -477,6 +484,7 @@ def test_interval_commands_do_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rcs"] == [0, 0, 0]
+    assert result["pools"] == []
     assert result["before"] == []
     assert result["after"] is True
 
@@ -565,6 +573,57 @@ def test_verify_all_refuses_a_directory_with_stale_reports(capsys, tmp_path, tin
     rc, _, err = run_cli(capsys, "verify-all", "--out", str(bare))
     assert rc == 1 and "is not a verify-all summary" in err
     assert len(tiny_suite) == 2
+
+
+def test_verify_all_refuses_an_out_path_that_is_a_file(capsys, tmp_path, tiny_suite):
+    out = tmp_path / "reports"
+    out.write_text("kept\n")
+    rc, stdout, err = run_cli(capsys, "verify-all", "--out", str(out))
+    assert rc == 1
+    assert stdout == ""
+    assert err == f"error: --out {out} is not a directory\n"
+    assert tiny_suite == []
+    assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_suite_grid_equals_one_serial_sweep(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    Ks = list(np.linspace(*cli.K_RANGE, TINY.n_k))
+    ds = list(np.linspace(*cli.D_RANGE, TINY.n_d))
+    with cli.start_closed_vs_grid(TINY) as sweep:
+        cli.case_gaussian(TINY)
+        grids = sweep.finish()
+    assert grids.tobytes() == _sweep_columns(Ks, ds, TINY.sup_grid_size).tobytes()
+
+
+_COLUMN_LOG = None
+
+
+def _sweep_columns_logged(Ks, ds, grid_size):
+    with open(_COLUMN_LOG, "a") as fh:
+        fh.write(f"{ds[0]!r}\n")
+    return _sweep_columns(Ks, ds, grid_size)
+
+
+def test_suite_error_stops_the_sweep_workers(monkeypatch, tmp_path):
+    # a case that raises while the certified sweep runs in a worker: the
+    # error propagates, no worker is left, and the queued columns are dropped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(sys.modules[__name__], "_COLUMN_LOG", str(tmp_path / "columns"))
+    monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_logged)
+
+    def failing(cfg):
+        raise RuntimeError("comparison grid failed")
+
+    monkeypatch.setattr(cli, "case_comparison_grid", failing)
+    cfg = RunConfig()
+    with pytest.raises(RuntimeError, match="comparison grid failed"):
+        run_suite(cfg)
+    assert multiprocessing.active_children() == []
+    log = tmp_path / "columns"
+    swept = log.read_text().splitlines() if log.exists() else []
+    assert len(swept) < cfg.n_d // 2
 
 
 @pytest.mark.parametrize("d", ["1e-200", "1e-160", "1e200"])

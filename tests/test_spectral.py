@@ -1,9 +1,14 @@
 """Weighted-complex eigensolver: mesh invariants, frozen values, dense oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
@@ -329,6 +334,80 @@ def test_eigensolver_restart_cap(monkeypatch):
     with pytest.raises(EigensolverConvergenceError, match="found 1 of .* within 7 restarts") as info:
         lambda1_witten(build_icosphere(1), max_iter=7)
     assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+
+
+def openblas_threads() -> dict[str, int]:
+    """Thread count of each loaded OpenBLAS, by its set call's name."""
+    return {set_.__name__: get() for get, set_ in spectral._openblas_thread_calls()}
+
+
+def blas_name(module) -> str:
+    """The BLAS a numpy or scipy build links, by its build configuration."""
+    try:
+        return module.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # older releases only print their configuration
+        return "unknown"
+
+
+@pytest.mark.skipif(blas_name(scipy) != "scipy-openblas", reason="another BLAS")
+def test_mesh_solve_holds_every_openblas_to_one_thread(monkeypatch):
+    # the wheels' OpenBLAS builds are found, so the pin is not a no-op here
+    calls = spectral._openblas_thread_calls()
+    names = [set_.__name__ for _, set_ in calls]
+    assert "scipy_openblas_set_num_threads" in names
+    if blas_name(np) == "scipy-openblas":
+        assert "scipy_openblas_set_num_threads64_" in names
+    real_eigsh = scipy.sparse.linalg.eigsh
+    inside = []
+
+    def spying(*args, **kwargs):
+        inside.append(openblas_threads())
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spying)
+    before = [get() for get, _ in calls]
+    try:
+        for _, set_ in calls:
+            set_(2)
+        assert lambda1_witten(build_icosphere(2)).lambda1 == pytest.approx(2.0, abs=1e-2)
+        after = openblas_threads()
+    finally:
+        for (_, set_), count in zip(calls, before):
+            set_(count)
+    assert inside == [dict.fromkeys(names, 1)]
+    assert after == dict.fromkeys(names, 2)
+
+
+def test_mesh_solve_runs_where_no_openblas_is_found(monkeypatch):
+    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: [])
+    res = lambda1_witten(build_icosphere(2))
+    assert res.lambda1 == pytest.approx(2.0, abs=1e-2)
+    assert res.cluster_size == 3
+
+
+SUB5_SOLVE = """
+from wittengap.spectral import build_icosphere, lambda1_witten
+print(repr(lambda1_witten(build_icosphere(5)).eigenvalues.tolist()))
+"""
+
+
+def test_round_sphere_solve_is_the_same_at_one_and_two_blas_threads():
+    # a second OpenBLAS thread reorders sums; held to one thread per solve,
+    # the sub-5 eigenvalues keep their bits at either count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", SUB5_SOLVE],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        ).stdout
+        for threads in (1, 2)
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("[1.99999995")
 
 
 def test_disconnected_complex_rejected():
