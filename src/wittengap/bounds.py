@@ -13,8 +13,8 @@ independent of the closed form: it evaluates every grid point for every
 pair, with no vertex or concavity shortcut, and keeps no grid between
 calls.  ``GridSweep`` is the same sweep split so that its caller can work
 in between: it starts forked workers on the ``d`` columns, and
-``finish()`` sweeps the columns no worker has taken yet in the calling
-process, bit for bit as in one process; one usable CPU forks nothing.
+``finish()`` collects them, bit for bit as in one process; one usable
+CPU forks nothing.
 ``sup_bound_closed`` is the closed form of the same supremum:
 
     0                          if K d^2  <  -4 pi^2
@@ -203,8 +203,8 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
     as a ``BoundInput``.
 
     This is ``GridSweep`` started and finished at once: forked workers
-    and this process share the ``d`` columns, and a worker's exception is
-    raised here with no partial ``best`` returned.
+    sweep the ``d`` columns, and a worker's exception is raised here with
+    no partial ``best`` returned.
     """
     return GridSweep(Ks, ds, grid_size).finish()
 
@@ -212,20 +212,15 @@ def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
 class GridSweep:
     """``sup_bound_grid_sweep`` started now and finished by ``finish()``.
 
-    The ``d`` values form a queue of columns, one ``_sweep_columns(Ks,
-    [d], grid_size)`` each.  A column's entries depend on no other column,
-    so every entry keeps its bits whichever process sweeps it.  Creating a
-    ``GridSweep`` validates every pair, forks ``min(cpus, len(ds)) - 1``
-    workers (``cpus`` from ``os.sched_getaffinity``) and queues every
-    column for them; workers take columns from the front.  Meanwhile the
-    caller may do other work.  ``finish()`` then takes the columns still
-    queued from the back and sweeps them in the calling process, one at a
-    time, until it meets the columns the workers have taken; it waits for
-    those and returns ``best``.  It never takes back one of the first
-    columns, one per worker, so a sweep with workers always runs some of
-    its columns there, however early ``finish()`` is called.  With one
-    usable CPU or one ``d`` nothing is forked and ``finish()`` sweeps every
-    column.
+    Creating a ``GridSweep`` validates every pair, forks ``min(cpus,
+    len(ds))`` workers (``cpus`` from ``os.sched_getaffinity``) at niceness
+    19 and submits one ``_sweep_columns(Ks, [d], grid_size)`` per ``d``
+    column.  A column's entries depend on no other column, so every entry
+    keeps its bits whichever process sweeps it.  Meanwhile the caller may
+    do other work, ahead of the niced workers; ``finish()`` collects the
+    columns in order and returns ``best``.  With one usable CPU or one
+    ``d`` nothing is forked and ``finish()`` sweeps every column in the
+    calling process.
 
     A worker's exception is raised by ``finish()``.  ``finish()``,
     ``close()`` and leaving a ``with`` block shut the workers down without
@@ -234,6 +229,8 @@ class GridSweep:
     """
 
     def __init__(self, Ks, ds, grid_size: int = 10**6) -> None:
+        if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)):
+            raise ValueError(f"grid_size must be an integer, got {grid_size!r}")
         if grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {grid_size}")
         self.Ks = [float(K) for K in Ks]
@@ -244,35 +241,34 @@ class GridSweep:
                 BoundInput(K=K, d=d)
         # platforms without sched_getaffinity (macOS, Windows) fork nothing
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        self._n_workers = max(0, min(cpus, len(self.ds)) - 1)
+        n_workers = min(cpus, len(self.ds))
         self._pool = None
         self._futures = []
-        if self._n_workers:
+        if n_workers > 1:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             # fork, not spawn: the workers inherit this module as it stands, a
-            # patched _block_max included, instead of importing it afresh
+            # patched _block_max included, instead of importing it afresh.
+            # Nice 19: there is a worker per CPU, so the caller's own work
+            # would share a core with one; niced, the workers yield it to the
+            # caller until it waits in finish().
             fork = multiprocessing.get_context("fork")
-            self._pool = ProcessPoolExecutor(self._n_workers, mp_context=fork)
+            self._pool = ProcessPoolExecutor(
+                n_workers, mp_context=fork, initializer=os.nice, initargs=(19,)
+            )
             self._futures = [
                 self._pool.submit(_sweep_columns, self.Ks, [d], grid_size) for d in self.ds
             ]
 
     def finish(self) -> np.ndarray:
-        """Sweep the columns no worker has taken, collect the rest, shut down."""
-        best = np.empty((len(self.Ks), len(self.ds)))
+        """Collect every column, or sweep them here when nothing was forked."""
         try:
-            j = len(self.ds)
-            # a queued column is this process's once cancelling its future succeeds
-            while j > self._n_workers and (not self._futures or self._futures[j - 1].cancel()):
-                j -= 1
-                best[:, j : j + 1] = _sweep_columns(self.Ks, [self.ds[j]], self.grid_size)
-            for k in range(j):
-                best[:, k : k + 1] = self._futures[k].result()
+            if not self._futures:
+                return _sweep_columns(self.Ks, self.ds, self.grid_size)
+            return np.hstack([future.result() for future in self._futures])
         finally:
             self.close()
-        return best
 
     def close(self) -> None:
         """Stop the workers: queued columns are dropped, running ones waited for."""

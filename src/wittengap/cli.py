@@ -110,13 +110,20 @@ D_GRID = (0.5, 1.0, 2.0, math.pi, 5.0)
 EXACTNESS_DS = (1.0, 2.0, math.pi, 5.0)
 BRANCH_DS = (0.5, 1.0, 2.0, math.pi, 5.0, 10.0, 20.0)
 HEIGHT_COEFFICIENTS = (0.0, 0.3, 0.5, 0.9)
-# (K, d) box of the closed-form vs grid sweep
+# (K, d) box of the closed-form vs grid sweep and its counts
 K_RANGE = (-10.0, 10.0)
 D_RANGE = (0.1, 20.0)
-# the flat-space model soliton: dimension, constant, sample seed
+N_K = 50
+N_D = 50
+# s-grid of the soliton-constant maximum
+CONSTANT_GRID_SIZE = 2_000_000
+# icosphere subdivisions of the weight-shift case
+SHIFT_SUBDIVISIONS = 3
+# the flat-space model soliton: dimension, constant, sample seed and count
 GAUSSIAN_DIM = 3
 GAUSSIAN_LAM = 0.7
 GAUSSIAN_SEED = 20260816
+GAUSSIAN_SAMPLES = 64
 
 # certified tolerances, pinned independently by the acceptance tests;
 # TOL_COMPARE_REL is imported from sturm, whose verify_comparison shares it
@@ -138,39 +145,28 @@ TOL_SHRINKER_DIAMETER = 1e-9
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The certified resolutions.  ``verify-all`` always runs the defaults;
-    the single-case subcommands lower some of them by flag, and a lower
-    resolution turns cases red.  Tolerances, the (K, d) box and the
-    Gaussian model are module constants."""
+    """The certified resolutions that a flag can set.  ``verify-all`` always
+    runs the defaults; the single-case subcommands lower some of them by
+    flag, and a lower resolution turns cases red.  Tolerances, the (K, d)
+    box and the other resolutions are module constants."""
 
-    # counts of the closed-form vs grid sweep
-    n_k: int = 50
-    n_d: int = 50
     sup_grid_size: int = 1_000_000
-    constant_grid_size: int = 2_000_000
-    # resolutions
     ou_m: int = 2000
     circle_n: int = 1000
     sphere_subdivisions: int = 5
-    shift_subdivisions: int = 3
     rosette_points: int = 4096
-    gaussian_samples: int = 64
 
     def __post_init__(self) -> None:
-        if min(self.n_k, self.n_d) < 1:
-            raise ValueError("grid counts must be >= 1")
-        if min(self.sup_grid_size, self.constant_grid_size) < 100:
-            raise ValueError("s-grid sizes must be >= 100")
+        if self.sup_grid_size < 100:
+            raise ValueError("sup_grid_size must be >= 100")
         if self.ou_m < 8:
             raise ValueError("ou_m must be >= 8")
         if self.circle_n < 16:
             raise ValueError("circle_n must be >= 16")
-        if not (0 <= self.sphere_subdivisions <= 7 and 0 <= self.shift_subdivisions <= 7):
-            raise ValueError("subdivision counts must be in [0, 7]")
+        if not 0 <= self.sphere_subdivisions <= 7:
+            raise ValueError("sphere_subdivisions must be in [0, 7]")
         if self.rosette_points < 64:
             raise ValueError("rosette_points must be >= 64")
-        if self.gaussian_samples < 1:
-            raise ValueError("gaussian_samples must be >= 1")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -187,8 +183,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def start_closed_vs_grid(cfg: RunConfig) -> GridSweep:
-    """Start the s-grid sweep of the configured (K, d) box."""
-    Ks, ds = np.linspace(*K_RANGE, cfg.n_k), np.linspace(*D_RANGE, cfg.n_d)
+    """Start the s-grid sweep of the (K, d) box at ``cfg.sup_grid_size``."""
+    Ks, ds = np.linspace(*K_RANGE, N_K), np.linspace(*D_RANGE, N_D)
     return GridSweep(Ks, ds, cfg.sup_grid_size)
 
 
@@ -212,9 +208,9 @@ def format_sweep_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def case_closed_vs_grid(cfg: RunConfig, sweep: GridSweep) -> VerificationReport:
+def case_closed_vs_grid(sweep: GridSweep) -> VerificationReport:
     """Grid supremum vs closed form over ``sweep``, started by
-    ``start_closed_vs_grid(cfg)`` and finished here; branch agreement at
+    ``start_closed_vs_grid`` and finished here; branch agreement at
     crossover.
 
     The grid error is measured relative to max(1, |closed|): near the
@@ -246,9 +242,9 @@ def case_closed_vs_grid(cfg: RunConfig, sweep: GridSweep) -> VerificationReport:
             "k_max": K_RANGE[1],
             "d_min": D_RANGE[0],
             "d_max": D_RANGE[1],
-            "n_k": float(cfg.n_k),
-            "n_d": float(cfg.n_d),
-            "sup_grid_size": float(cfg.sup_grid_size),
+            "n_k": float(len(sweep.Ks)),
+            "n_d": float(len(sweep.ds)),
+            "sup_grid_size": float(sweep.grid_size),
         },
         computed={
             "max_rel_diff": worst_rel,
@@ -275,14 +271,14 @@ def case_closed_vs_grid(cfg: RunConfig, sweep: GridSweep) -> VerificationReport:
     )
 
 
-def case_soliton_constants(cfg: RunConfig) -> VerificationReport:
+def case_soliton_constants() -> VerificationReport:
     """Ordering of the three diameter constants and the grid-checked maximum
     of g(s) = 4 s (1 - s) / (2 - s)."""
     c_sup = 2.0 * (math.sqrt(2.0) - 1.0)
     c_half = math.sqrt(2.0 / 3.0)
     c_fixed = 10.0 / 13.0
     opt = soliton_optimal_s()
-    n = cfg.constant_grid_size
+    n = CONSTANT_GRID_SIZE
     # the first grid maximum, a block at a time: whole-grid temporaries
     # (16 MB each at the default size) set the suite's peak RSS
     g_max_grid, s_star_grid = -math.inf, 0.0
@@ -500,7 +496,7 @@ def case_sphere_height(
     )
 
 
-def case_weight_shift(cfg: RunConfig) -> VerificationReport:
+def case_weight_shift() -> VerificationReport:
     """Constant shifts of the weight must leave lambda_1 unchanged.
 
     Runs the one sparse solver on a height-weighted icosphere so the only
@@ -508,7 +504,7 @@ def case_weight_shift(cfg: RunConfig) -> VerificationReport:
     depends on phi through differences only, and the mass rescaling
     cancels in the Rayleigh quotient.
     """
-    mesh = build_icosphere(cfg.shift_subdivisions)
+    mesh = build_icosphere(SHIFT_SUBDIVISIONS)
     base = apply_weight(mesh, 0.3 * mesh.vertices[:, 2])
     lam_base = lambda1_witten(base).lambda1
     n = base.n_vertices
@@ -520,7 +516,7 @@ def case_weight_shift(cfg: RunConfig) -> VerificationReport:
     return make_report(
         case_id="weight-shift-invariance",
         inputs={
-            "subdivisions": float(cfg.shift_subdivisions),
+            "subdivisions": float(SHIFT_SUBDIVISIONS),
             "height_coefficient": 0.3,
             "shift_up": 1.0,
             "shift_down": -2.5,
@@ -631,17 +627,17 @@ def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
     )
 
 
-def case_gaussian(cfg: RunConfig) -> VerificationReport:
+def case_gaussian() -> VerificationReport:
     """Flat-space model soliton: the shifted potential is an exact eigenfunction."""
     rng = np.random.default_rng(GAUSSIAN_SEED)
-    pts = 1.5 * rng.standard_normal((cfg.gaussian_samples, GAUSSIAN_DIM))
+    pts = 1.5 * rng.standard_normal((GAUSSIAN_SAMPLES, GAUSSIAN_DIM))
     worst_fd = float(np.abs(gaussian_soliton_check(GAUSSIAN_DIM, GAUSSIAN_LAM, pts)).max())
     return make_report(
         case_id="gaussian-soliton",
         inputs={
             "n": float(GAUSSIAN_DIM),
             "lam": GAUSSIAN_LAM,
-            "n_samples": float(cfg.gaussian_samples),
+            "n_samples": float(GAUSSIAN_SAMPLES),
         },
         computed={"fd_worst": worst_fd},
         bounds={},
@@ -653,16 +649,16 @@ def case_gaussian(cfg: RunConfig) -> VerificationReport:
 def run_suite(cfg: RunConfig) -> list[VerificationReport]:
     """All certification cases, sorted by case id.
 
-    The criterion-01 s-grid sweep starts first, in forked workers (see
-    ``bounds.GridSweep``), and every other case runs in this process
-    meanwhile; the sweep is then finished here and ``bounds-closed-vs-grid``
-    is built from it.  An exception in any case stops the workers before it
-    propagates.  Each complex is built and solved once; the round icosphere
+    The criterion-01 s-grid sweep starts first, in forked workers that
+    run at niceness 19 (see ``bounds.GridSweep``), and every other case
+    runs in this process meanwhile; the sweep's columns are then collected
+    here and ``bounds-closed-vs-grid`` is built from them.  An exception in
+    any case stops the workers before it propagates.  Each complex is built and solved once; the round icosphere
     also carries the height weights.  The height a = 0 multiplies by
     exp(-0) = 1, so its weighted complex is bitwise the round sphere and
     reuses that solve."""
     with start_closed_vs_grid(cfg) as sweep:
-        reports = [case_soliton_constants(cfg), case_comparison_grid(cfg)]
+        reports = [case_soliton_constants(), case_comparison_grid(cfg)]
         circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
         sphere = build_icosphere(cfg.sphere_subdivisions)
         heights = {
@@ -677,12 +673,12 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
                 case_sphere_height(cfg, a, w, lambda1_witten(w) if a else round_res)
                 for a, w in heights.items()
             ],
-            case_weight_shift(cfg),
+            case_weight_shift(),
             case_circle_shrinker(circle_shrinker(1.0, cfg.circle_n)),
             case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
-            case_gaussian(cfg),
+            case_gaussian(),
         ]
-        reports.append(case_closed_vs_grid(cfg, sweep))
+        reports.append(case_closed_vs_grid(sweep))
     return sorted(reports, key=lambda r: r.case_id)
 
 
@@ -787,7 +783,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 def cmd_shrinker(args: argparse.Namespace) -> int:
     cfg = RunConfig(circle_n=args.n, rosette_points=args.points)
     if args.gaussian:
-        rep = case_gaussian(cfg)
+        rep = case_gaussian()
         _emit(rep.to_json(), args.out)
         return 0 if rep.passed else 1
     if args.al is not None:

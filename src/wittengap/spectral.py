@@ -75,9 +75,10 @@ SHIFT = -1e-3
 # and icospheres up to subdivision 5, round and height-weighted, return
 # every copy.
 KRYLOV_DIM = 40
-# nonzero eigenvalues per solve, and ARPACK's relative accuracy
+# nonzero eigenvalues per solve, ARPACK's relative accuracy and its restart cap
 N_EIGS = 6
 ARPACK_TOL = 1e-10
+ARPACK_MAX_RESTARTS = 600
 # parts of at most this many vertices are not dissected further
 _DISSECTION_LEAF = 32
 # (get, set) thread-count calls of an OpenBLAS: scipy's build, numpy's
@@ -481,7 +482,7 @@ def _one_blas_thread():
             set_(count)
 
 
-def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralResult:
+def lambda1_witten(complex_: WeightedComplex) -> SpectralResult:
     """First nonzero eigenvalue of the weighted complex, with diagnostics.
 
     Solves the generalized pencil S v = lam M v, M = diag(masses), with
@@ -499,11 +500,13 @@ def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralRe
     after checking that it separates.  The Lanczos basis is ``KRYLOV_DIM``
     wide so that repeated eigenvalues come out with their multiplicity,
     and the start vector is fixed, so the solve is deterministic.
-    ``ARPACK_TOL`` is ARPACK's relative accuracy and ``max_iter`` its
-    restart cap; when the cap is hit, ``EigensolverConvergenceError`` is
-    raised.  Every loaded OpenBLAS is held to one thread for the factor,
-    the solve and the residual (``_one_blas_thread``), so the values do
-    not depend on the thread count of the calling process.
+    ``ARPACK_TOL`` is ARPACK's relative accuracy and
+    ``ARPACK_MAX_RESTARTS`` its restart cap; when the cap is hit,
+    ``EigensolverConvergenceError`` is raised.  Shift-invert mode applies
+    only the solve and M, so S itself is never assembled.  Every loaded
+    OpenBLAS is held to one thread for the factor, the solve and the
+    residual (``_one_blas_thread``), so the values do not depend on the
+    thread count of the calling process.
     """
     from scipy import sparse  # 0.35 s and 33 MB to import; only mesh solves need it
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -525,9 +528,13 @@ def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralRe
             y[order] = lu.solve(x[order])
             return y
 
+        def never_applied(x: np.ndarray) -> np.ndarray:
+            raise RuntimeError("shift-invert mode applies no stiffness matrix")
+
         try:
+            # eigsh reads its A only for the shape and dtype
             values, vectors = eigsh(
-                stiffness_matrix(complex_),
+                LinearOperator((n, n), matvec=never_applied, dtype=np.float64),
                 k=n_eigs + 1,
                 M=sparse.diags(weights),
                 sigma=SHIFT,
@@ -535,16 +542,16 @@ def lambda1_witten(complex_: WeightedComplex, max_iter: int = 600) -> SpectralRe
                 v0=np.cos(0.618 * np.arange(n)),
                 ncv=min(n, max(2 * n_eigs + 3, KRYLOV_DIM)),
                 tol=ARPACK_TOL,
-                maxiter=max_iter,
+                maxiter=ARPACK_MAX_RESTARTS,
                 OPinv=LinearOperator((n, n), matvec=shift_solve, dtype=np.float64),
             )
         except ArpackNoConvergence as exc:
             raise EigensolverConvergenceError(
                 f"ARPACK shift-invert found {len(exc.eigenvalues)} of {n_eigs + 1} "
-                f"eigenpairs within {max_iter} restarts (tol {ARPACK_TOL:.1e})"
+                f"eigenpairs within {ARPACK_MAX_RESTARTS} restarts (tol {ARPACK_TOL:.1e})"
             ) from exc
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
+        ascending = np.argsort(values)
+        values, vectors = values[ascending], vectors[:, ascending]
         zero_scale = abs(values[0]) / max(1.0, abs(values[-1]))
         if zero_scale > 1e-8:
             raise RuntimeError(f"kernel eigenvalue did not separate: {values[:2]}")

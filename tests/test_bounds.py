@@ -4,9 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -122,8 +122,7 @@ def test_grid_sweep_is_bit_identical_to_the_dense_maximum(grid_size):
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("n_d", [1, 2, 3, 5])
 def test_grid_sweep_split_by_d_is_bit_identical(monkeypatch, cpus, n_d):
-    # min(n_d, cpus) - 1 workers, none for one d, on a grid one point past
-    # a block
+    # min(n_d, cpus) workers, none for one d, on a grid one point past a block
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     grid_size = 2**15 + 1
     k_values = [K for K, _ in BIT_IDENTITY_POINTS]
@@ -172,7 +171,7 @@ def test_grid_sweep_on_one_cpu_starts_no_worker():
     assert one_cpu_forks == 0
     # the fork counter sees the workers when more than one CPU is usable
     if cpus > 1:
-        assert all_cpu_forks == min(cpus, len(d_values)) - 1
+        assert all_cpu_forks == min(cpus, len(d_values))
 
 
 _PARENT_PID = os.getpid()
@@ -187,7 +186,6 @@ def _sweep_columns_failing_in_workers(Ks, ds, grid_size):
 def test_grid_sweep_raises_a_worker_exception(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_failing_in_workers)
-    # the first column is always the worker's, whatever this process takes back
     with pytest.raises(RuntimeError, match="worker chunk failed"):
         sup_bound_grid_sweep([0.0, 1.0], [1.0, 2.0, 3.0], 100)
     assert multiprocessing.active_children() == []
@@ -195,32 +193,34 @@ def test_grid_sweep_raises_a_worker_exception(monkeypatch):
     assert sup_bound_grid_sweep([0.0, 1.0], [1.0], 100)[1, 0] == dense_grid_sup(1.0, 1.0, 100)
 
 
-_CALLER_COLUMNS: list = []
+_COLUMN_LOG = None
 
 
-def _sweep_columns_slow_in_workers(Ks, ds, grid_size):
-    if os.getpid() == _PARENT_PID:
-        _CALLER_COLUMNS.extend(ds)
-    else:
-        time.sleep(0.3)
+def _sweep_columns_logged(Ks, ds, grid_size):
+    with open(_COLUMN_LOG, "a") as fh:
+        fh.write(f"{os.getpid()} {os.nice(0)} {ds[0]!r}\n")
     return _sweep_columns(Ks, ds, grid_size)
 
 
-def test_grid_sweep_caller_takes_the_queued_columns_from_the_back(monkeypatch):
-    # one worker spends 0.3 s on each column; meanwhile finish() takes every
-    # column still queued, last first, and waits only for the worker's
+def test_grid_sweep_workers_sweep_every_column_below_the_callers_priority(
+    monkeypatch, tmp_path
+):
+    # with workers, every column is a worker's, and each worker runs niced
+    # below this process, which keeps its core for its own work meanwhile
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_slow_in_workers)
+    monkeypatch.setattr(sys.modules[__name__], "_COLUMN_LOG", str(tmp_path / "columns"))
+    monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_logged)
     k_values = [K for K, _ in BIT_IDENTITY_POINTS]
     d_values = [d for _, d in BIT_IDENTITY_POINTS[:8]]
     grid_size = 2**15 + 1
-    _CALLER_COLUMNS.clear()
     best = sup_bound_grid_sweep(k_values, d_values, grid_size)
-    taken = list(_CALLER_COLUMNS)
-    # the worker owns its running column and at most the two that the
-    # process pool has already moved to its call queue
-    assert len(d_values) - 3 <= len(taken) <= len(d_values) - 1
-    assert taken == d_values[::-1][: len(taken)]
+    rows = [line.split() for line in (tmp_path / "columns").read_text().splitlines()]
+    assert sorted(float(d) for _, _, d in rows) == sorted(d_values)
+    # at most two workers, as many as the CPUs, and never this process
+    pids = {int(pid) for pid, _, _ in rows}
+    assert len(pids) <= 2 and os.getpid() not in pids
+    caller = os.nice(0)
+    assert all(int(nice) == min(caller + 19, 19) > caller for _, nice, _ in rows)
     assert multiprocessing.active_children() == []
     assert np.array_equal(best, _sweep_columns(k_values, d_values, grid_size))
 
@@ -232,6 +232,14 @@ def test_grid_sweep_validates_every_pair():
         sup_bound_grid_sweep([0.0], [1.0, 1e-200], 10)
     with pytest.raises(ValueError):
         sup_bound_grid_sweep([0.0], [1.0], 0)
+    # a grid size that is not an integer is named, not left to numpy
+    for grid_size in (1e6, 100.0, True, "100"):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {grid_size!r}")):
+            sup_bound_grid_sweep([0.0], [1.0], grid_size)
+    with pytest.raises(ValueError, match=re.escape("must be an integer, got 1000000.0")):
+        sup_bound_grid(BoundInput(1.0, 1.0), 1e6)
+    # a numpy integer is an integer
+    assert sup_bound_grid(BoundInput(1.0, 1.0), np.int64(100)) == dense_grid_sup(1.0, 1.0, 100)
 
 
 def test_gap_expression_matches_the_written_out_formula():

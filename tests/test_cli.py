@@ -24,16 +24,11 @@ from wittengap.report import canonical_json
 # reduced resolutions: fast and deterministic, deliberately below several
 # certified tolerances so the failure path is exercised too
 TINY = RunConfig(
-    n_k=6,
-    n_d=5,
     sup_grid_size=20000,
-    constant_grid_size=5000,
     ou_m=100,
     circle_n=64,  # coarse enough to miss the 1e-4 circle tolerance
     sphere_subdivisions=2,
-    shift_subdivisions=1,
     rosette_points=256,
-    gaussian_samples=8,
 )
 
 
@@ -101,12 +96,13 @@ def test_config_cannot_set_certified_constants(tmp_path, line, argv):
 
 
 @pytest.mark.parametrize("n", [100, 2**15, 2**15 + 1, 2_000_000])
-def test_soliton_constant_grid_maximum_is_the_whole_grid_argmax(n):
+def test_soliton_constant_grid_maximum_is_the_whole_grid_argmax(monkeypatch, n):
     # the blocked maximum finds the first maximizer of the whole-grid array
     s = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
     g = 4.0 * s * (1.0 - s) / (2.0 - s)
     j = int(np.argmax(g))
-    rep = cli.case_soliton_constants(RunConfig(constant_grid_size=n))
+    monkeypatch.setattr(cli, "CONSTANT_GRID_SIZE", n)
+    rep = cli.case_soliton_constants()
     assert rep.computed["g_max_grid"] == float(g[j])
     assert rep.computed["s_star_grid"] == float(s[j])
 
@@ -156,7 +152,7 @@ def test_commands_write_the_report_serialization(capsys):
     assert rc == 0
     assert out == canonical_json(json.loads(out))
     assert out.endswith("}\n") and out.startswith('{\n  "andrews_ni": ')
-    rep = cli.case_gaussian(TINY)
+    rep = cli.case_gaussian()
     assert rep.to_json() == canonical_json(rep.to_dict())
     with pytest.raises(ValueError):
         canonical_json({"x": math.nan})
@@ -529,8 +525,8 @@ def test_verify_all_slack_column(capsys, tmp_path, tiny_suite):
     assert all(len(row) == 4 and row[2] == "slack" for row in rows)
     # slack = smallest margin + tolerance: negative exactly on the failing cases
     assert all((row[0] == "PASS") == (float(row[3]) >= 0.0) for row in rows)
-    assert sum(row[0] == "PASS" for row in rows) == 9
-    assert lines[-1] == "9/14 cases passed"
+    assert sum(row[0] == "PASS" for row in rows) == 10
+    assert lines[-1] == "10/14 cases passed"
     names = {p.name for p in out.iterdir()}
     assert names == {row[1] + ".json" for row in rows} | {"summary.json"}
 
@@ -589,10 +585,10 @@ def test_verify_all_refuses_an_out_path_that_is_a_file(capsys, tmp_path, tiny_su
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_suite_grid_equals_one_serial_sweep(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    Ks = list(np.linspace(*cli.K_RANGE, TINY.n_k))
-    ds = list(np.linspace(*cli.D_RANGE, TINY.n_d))
+    Ks = list(np.linspace(*cli.K_RANGE, cli.N_K))
+    ds = list(np.linspace(*cli.D_RANGE, cli.N_D))
     with cli.start_closed_vs_grid(TINY) as sweep:
-        cli.case_gaussian(TINY)
+        cli.case_gaussian()
         grids = sweep.finish()
     assert grids.tobytes() == _sweep_columns(Ks, ds, TINY.sup_grid_size).tobytes()
 
@@ -617,13 +613,12 @@ def test_suite_error_stops_the_sweep_workers(monkeypatch, tmp_path):
         raise RuntimeError("comparison grid failed")
 
     monkeypatch.setattr(cli, "case_comparison_grid", failing)
-    cfg = RunConfig()
     with pytest.raises(RuntimeError, match="comparison grid failed"):
-        run_suite(cfg)
+        run_suite(RunConfig())
     assert multiprocessing.active_children() == []
     log = tmp_path / "columns"
     swept = log.read_text().splitlines() if log.exists() else []
-    assert len(swept) < cfg.n_d // 2
+    assert len(swept) < cli.N_D // 2
 
 
 @pytest.mark.parametrize("d", ["1e-200", "1e-160", "1e200"])

@@ -324,16 +324,30 @@ def test_eigensolver_restart_cap(monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
     # the round sub-4 icosphere converges within two restarts
-    assert lambda1_witten(build_icosphere(4), max_iter=2).lambda1 == pytest.approx(2.0, abs=1e-4)
+    monkeypatch.setattr(spectral, "ARPACK_MAX_RESTARTS", 2)
+    assert lambda1_witten(build_icosphere(4)).lambda1 == pytest.approx(2.0, abs=1e-4)
     assert caps == [2]
 
     def not_converging(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("cap hit", np.zeros(1), np.zeros((42, 1)))
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", not_converging)
+    monkeypatch.setattr(spectral, "ARPACK_MAX_RESTARTS", 7)
     with pytest.raises(EigensolverConvergenceError, match="found 1 of .* within 7 restarts") as info:
-        lambda1_witten(build_icosphere(1), max_iter=7)
+        lambda1_witten(build_icosphere(1))
     assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+
+
+def test_solve_assembles_no_stiffness_matrix(monkeypatch):
+    # shift-invert ARPACK applies the factored solve and M, never S
+    def refused(complex_):
+        raise AssertionError("stiffness_matrix assembled")
+
+    monkeypatch.setattr(spectral, "stiffness_matrix", refused)
+    sphere = lambda1_witten(build_icosphere(3))
+    assert sphere.lambda1 == pytest.approx(SPHERE_SUB3_LAMBDA1, abs=1e-8)
+    circle = lambda1_witten(build_weighted_circle(1000))
+    assert circle.lambda1 == pytest.approx(CIRCLE_1000_LAMBDA1, abs=1e-9)
 
 
 def openblas_threads() -> dict[str, int]:
