@@ -14,11 +14,12 @@ Reports carry ``schema: 1`` and serialize with sorted keys and no
 timestamps, so identical configurations produce byte-identical output.
 Exit codes: 0 when every margin passes, 1 for a failed case or internal
 error, 2 for invalid flags.  ``verify-all`` always runs the certified
-``RunConfig()`` and takes only ``--out``, its report directory (default
-``reports``); it refuses a directory holding a ``*.json`` that the
-directory's ``summary.json`` does not list.  The single-case subcommands
-take resolution flags, and each report records its resolution in
-``inputs``.
+resolutions (``SUP_GRID_SIZE``, ``OU_M``, ``CIRCLE_N``,
+``SPHERE_SUBDIVISIONS``, ``ROSETTE_POINTS``) and takes only ``--out``, its
+report directory (default ``reports``); it refuses a directory holding a
+``*.json`` that the directory's ``summary.json`` does not list.  The
+single-case subcommands take resolution flags that default to those
+constants, and each report records its resolution in ``inputs``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ from wittengap.sturm import (
     DIRICHLET,
     NEUMANN,
     TOL_COMPARE_REL,
-    EigenvalueRangeError,
     dirichlet_lambda1,
     neumann_lambda1,
     raw_lambda1,
@@ -86,7 +85,6 @@ from wittengap.sturm import (
 )
 
 __all__ = [
-    "RunConfig",
     "start_closed_vs_grid",
     "sweep_closed_vs_grid",
     "case_closed_vs_grid",
@@ -110,11 +108,19 @@ D_GRID = (0.5, 1.0, 2.0, math.pi, 5.0)
 EXACTNESS_DS = (1.0, 2.0, math.pi, 5.0)
 BRANCH_DS = (0.5, 1.0, 2.0, math.pi, 5.0, 10.0, 20.0)
 HEIGHT_COEFFICIENTS = (0.0, 0.3, 0.5, 0.9)
-# (K, d) box of the closed-form vs grid sweep and its counts
+# (K, d) box of the closed-form vs grid sweep, its counts and s-grid size
 K_RANGE = (-10.0, 10.0)
 D_RANGE = (0.1, 20.0)
 N_K = 50
 N_D = 50
+SUP_GRID_SIZE = 1_000_000
+# certified resolutions of the other cases that a subcommand flag can
+# lower: comparison-operator cells, circle vertices, icosphere
+# subdivisions, rosette nodes; a lower resolution turns cases red
+OU_M = 2000
+CIRCLE_N = 1000
+SPHERE_SUBDIVISIONS = 5
+ROSETTE_POINTS = 4096
 # s-grid of the soliton-constant maximum
 CONSTANT_GRID_SIZE = 2_000_000
 # icosphere subdivisions of the weight-shift case
@@ -143,30 +149,10 @@ TOL_FD_RESIDUAL = 1e-6
 TOL_SHRINKER_DIAMETER = 1e-9
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The certified resolutions that a flag can set.  ``verify-all`` always
-    runs the defaults; the single-case subcommands lower some of them by
-    flag, and a lower resolution turns cases red.  Tolerances, the (K, d)
-    box and the other resolutions are module constants."""
-
-    sup_grid_size: int = 1_000_000
-    ou_m: int = 2000
-    circle_n: int = 1000
-    sphere_subdivisions: int = 5
-    rosette_points: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.sup_grid_size < 100:
-            raise ValueError("sup_grid_size must be >= 100")
-        if self.ou_m < 8:
-            raise ValueError("ou_m must be >= 8")
-        if self.circle_n < 16:
-            raise ValueError("circle_n must be >= 16")
-        if not 0 <= self.sphere_subdivisions <= 7:
-            raise ValueError("sphere_subdivisions must be in [0, 7]")
-        if self.rosette_points < 64:
-            raise ValueError("rosette_points must be >= 64")
+def _check_floor(flag: str, value: int, floor: int) -> None:
+    """Resolution floors stricter than the library's own checks."""
+    if value < floor:
+        raise ValueError(f"{flag} must be >= {floor}, got {value}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -182,10 +168,10 @@ def _emit(text: str, out_path: str | None) -> None:
 # acceptance tests
 
 
-def start_closed_vs_grid(cfg: RunConfig) -> GridSweep:
-    """Start the s-grid sweep of the (K, d) box at ``cfg.sup_grid_size``."""
+def start_closed_vs_grid(grid_size: int) -> GridSweep:
+    """Start the s-grid sweep of the (K, d) box at ``grid_size`` s-values."""
     Ks, ds = np.linspace(*K_RANGE, N_K), np.linspace(*D_RANGE, N_D)
-    return GridSweep(Ks, ds, cfg.sup_grid_size)
+    return GridSweep(Ks, ds, grid_size)
 
 
 def sweep_closed_vs_grid(sweep: GridSweep) -> list[tuple[float, float, float, float, float]]:
@@ -321,10 +307,10 @@ def case_soliton_constants() -> VerificationReport:
     )
 
 
-def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
-    """Comparison operator on the fixed (K, d) grid: flat-case exactness,
-    second-order convergence, the Neumann-Dirichlet shift, and domination
-    of the closed-form gap bound."""
+def case_comparison_grid(m: int) -> VerificationReport:
+    """Comparison operator on the fixed (K, d) grid at ``m`` cells:
+    flat-case exactness, second-order convergence, the Neumann-Dirichlet
+    shift, and domination of the closed-form gap bound."""
     ratios = []
     for K, d, bc in ((0.0, 2.0, NEUMANN), (1.0, 2.0, NEUMANN), (1.0, 2.0, DIRICHLET)):
         lams = [raw_lambda1(K, d, m, bc) for m in (250, 500, 1000)]
@@ -339,8 +325,8 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
     eq_worst = 0.0
     for K in K_GRID:
         for d in D_GRID:
-            lam_n = neumann_lambda1(K, d, m=cfg.ou_m)
-            lam_d = dirichlet_lambda1(K, d, m=cfg.ou_m)
+            lam_n = neumann_lambda1(K, d, m=m)
+            lam_d = dirichlet_lambda1(K, d, m=m)
             scale = max(1.0, abs(lam_n))
             shift_worst = max(shift_worst, abs(lam_n - K - lam_d) / scale)
             closed = sup_bound_closed(BoundInput(K=K, d=d))
@@ -363,7 +349,7 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
     return make_report(
         case_id="ou-comparison-grid",
         inputs={
-            "m": float(cfg.ou_m),
+            "m": float(m),
             "n_K": float(len(K_GRID)),
             "n_d": float(len(D_GRID)),
         },
@@ -399,6 +385,15 @@ def case_comparison_grid(cfg: RunConfig) -> VerificationReport:
     )
 
 
+def _check_radius(radius: float) -> None:
+    """The circle target 1/r^2 needs r^2 and 1/r^2 in the normal float range."""
+    r2 = radius * radius
+    if not (sys.float_info.min <= r2 < math.inf and sys.float_info.min <= 1.0 / r2):
+        raise ValueError(
+            f"radius out of range: r**2 or 1/r**2 is not a finite normal number, got {radius!r}"
+        )
+
+
 def case_circle_spectrum(
     radius: float, circle: WeightedComplex, res: SpectralResult
 ) -> VerificationReport:
@@ -429,14 +424,14 @@ def case_circle_spectrum(
 
 
 def case_sphere_round(
-    cfg: RunConfig, mesh: WeightedComplex, res: SpectralResult
+    subdivisions: int, mesh: WeightedComplex, res: SpectralResult
 ) -> VerificationReport:
-    """Unweighted icosphere at ``cfg.sphere_subdivisions``, solved by the
+    """Unweighted icosphere at ``subdivisions``, solved by the
     caller into ``res``: lambda_1 near 2 with a three-fold cluster."""
     rel = abs(res.lambda1 - 2.0) / 2.0
     return make_report(
         case_id="sphere-round",
-        inputs={"subdivisions": float(cfg.sphere_subdivisions), "n_vertices": float(mesh.n_vertices)},
+        inputs={"subdivisions": float(subdivisions), "n_vertices": float(mesh.n_vertices)},
         computed={
             "lambda1": res.lambda1,
             "residual": res.residual,
@@ -460,7 +455,7 @@ def _check_height_coefficient(a: float) -> None:
 
 
 def case_sphere_height(
-    cfg: RunConfig, a: float, weighted: WeightedComplex, res: SpectralResult
+    subdivisions: int, a: float, weighted: WeightedComplex, res: SpectralResult
 ) -> VerificationReport:
     """Certify the gap bound for the unit icosphere ``weighted`` by phi = a z,
     solved by the caller into ``res``.
@@ -476,7 +471,7 @@ def case_sphere_height(
     bound = sup_bound_closed(inp)
     return make_report(
         case_id=f"sphere-height-a={a:g}",
-        inputs={"a": a, "K": K, "d": math.pi, "subdivisions": float(cfg.sphere_subdivisions)},
+        inputs={"a": a, "K": K, "d": math.pi, "subdivisions": float(subdivisions)},
         computed={
             "lambda1": res.lambda1,
             "residual": res.residual,
@@ -561,14 +556,15 @@ def case_circle_shrinker(curve: ShrinkerCurve) -> VerificationReport:
     )
 
 
-def case_rosette(cfg: RunConfig, curve: ShrinkerCurve) -> VerificationReport:
+def case_rosette(points: int, curve: ShrinkerCurve) -> VerificationReport:
     """Rosette from ``find_abresch_langer``: closure, conserved quantity,
     curvature and eigenfunction identities with a refinement trend against
-    a coarse curve assembled from the same arc, and the diameter bounds:
+    a coarse curve assembled from the same arc at a quarter of ``points``,
+    the node count asked of ``curve``, and the diameter bounds:
     d >= pi / sqrt(3 lam / 2 + K0 / 2) and its supremum over the
     interpolation parameter, with K0 = max k^2 and d half the length."""
     lam, p, q = curve.lam, curve.rotation_p, curve.petals_q
-    coarse = assemble_rosette(curve.arc, max(cfg.rosette_points // 4, 64))
+    coarse = assemble_rosette(curve.arc, max(points // 4, 64))
     res_fine = eigen_identity_residual(curve)
     res_coarse = eigen_identity_residual(coarse)
     ratio = res_coarse / res_fine
@@ -646,21 +642,21 @@ def case_gaussian() -> VerificationReport:
     )
 
 
-def run_suite(cfg: RunConfig) -> list[VerificationReport]:
-    """All certification cases, sorted by case id.
+def run_suite() -> list[VerificationReport]:
+    """All certification cases at the certified resolutions, sorted by case id.
 
     The criterion-01 s-grid sweep starts first, in forked workers that
     run at niceness 19 (see ``bounds.GridSweep``), and every other case
     runs in this process meanwhile; the sweep's columns are then collected
     here and ``bounds-closed-vs-grid`` is built from them.  An exception in
-    any case stops the workers before it propagates.  Each complex is built and solved once; the round icosphere
-    also carries the height weights.  The height a = 0 multiplies by
-    exp(-0) = 1, so its weighted complex is bitwise the round sphere and
-    reuses that solve."""
-    with start_closed_vs_grid(cfg) as sweep:
-        reports = [case_soliton_constants(), case_comparison_grid(cfg)]
-        circles = {r: build_weighted_circle(cfg.circle_n, radius=r) for r in (1.0, 2.0)}
-        sphere = build_icosphere(cfg.sphere_subdivisions)
+    any case stops the workers before it propagates.  Each complex is
+    built and solved once; the round icosphere also carries the height
+    weights.  The height a = 0 multiplies by exp(-0) = 1, so its weighted
+    complex is bitwise the round sphere and reuses that solve."""
+    with start_closed_vs_grid(SUP_GRID_SIZE) as sweep:
+        reports = [case_soliton_constants(), case_comparison_grid(OU_M)]
+        circles = {r: build_weighted_circle(CIRCLE_N, radius=r) for r in (1.0, 2.0)}
+        sphere = build_icosphere(SPHERE_SUBDIVISIONS)
         heights = {
             a: apply_weight(sphere, a * sphere.vertices[:, 2]) if a else sphere
             for a in HEIGHT_COEFFICIENTS
@@ -668,14 +664,16 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
         reports += [case_circle_spectrum(r, c, lambda1_witten(c)) for r, c in circles.items()]
         round_res = lambda1_witten(sphere)
         reports += [
-            case_sphere_round(cfg, sphere, round_res),
+            case_sphere_round(SPHERE_SUBDIVISIONS, sphere, round_res),
             *[
-                case_sphere_height(cfg, a, w, lambda1_witten(w) if a else round_res)
+                case_sphere_height(
+                    SPHERE_SUBDIVISIONS, a, w, lambda1_witten(w) if a else round_res
+                )
                 for a, w in heights.items()
             ],
             case_weight_shift(),
-            case_circle_shrinker(circle_shrinker(1.0, cfg.circle_n)),
-            case_rosette(cfg, find_abresch_langer(1.0, 2, 3, n_points=cfg.rosette_points)),
+            case_circle_shrinker(circle_shrinker(1.0, CIRCLE_N)),
+            case_rosette(ROSETTE_POINTS, find_abresch_langer(1.0, 2, 3, n_points=ROSETTE_POINTS)),
             case_gaussian(),
         ]
         reports.append(case_closed_vs_grid(sweep))
@@ -687,9 +685,9 @@ def run_suite(cfg: RunConfig) -> list[VerificationReport]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    cfg = RunConfig(sup_grid_size=args.grid_size)
+    _check_floor("--grid-size", args.grid_size, 100)
     if args.grid:
-        rows = sweep_closed_vs_grid(start_closed_vs_grid(cfg))
+        rows = sweep_closed_vs_grid(start_closed_vs_grid(args.grid_size))
         _emit(format_sweep_csv(rows), args.out)
         return 0
     if args.soliton:
@@ -718,7 +716,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "K": args.K,
         "d": args.d,
         "sup_closed": sup_bound_closed(inp),
-        "sup_grid": sup_bound_grid(inp, cfg.sup_grid_size),
+        "sup_grid": sup_bound_grid(inp, args.grid_size),
         "branch": branch,
         "s_star": s_star,
         "gap_at_half": float(gap_expression(0.5, args.K, args.d)),
@@ -732,20 +730,19 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_ou(args: argparse.Namespace) -> int:
-    cfg = RunConfig(ou_m=args.m)
     if args.K is None or args.d is None:
         print("error: ou needs --K and --d", file=sys.stderr)
         return 2
     if args.verify:
-        rep = verify_comparison(args.K, args.d, m=cfg.ou_m)
+        rep = verify_comparison(args.K, args.d, m=args.m)
         _emit(rep.to_json(), args.out)
         return 0 if rep.passed else 1
-    obj = {"schema": SCHEMA_VERSION, "K": args.K, "d": args.d, "m": cfg.ou_m}
+    obj = {"schema": SCHEMA_VERSION, "K": args.K, "d": args.d, "m": args.m}
     # the shift check needs both values; each problem is solved once
     if args.check_shift or args.bc in ("neumann", "both"):
-        obj["lambda_neumann"] = neumann_lambda1(args.K, args.d, m=cfg.ou_m)
+        obj["lambda_neumann"] = neumann_lambda1(args.K, args.d, m=args.m)
     if args.check_shift or args.bc in ("dirichlet", "both"):
-        obj["lambda_dirichlet"] = dirichlet_lambda1(args.K, args.d, m=cfg.ou_m)
+        obj["lambda_dirichlet"] = dirichlet_lambda1(args.K, args.d, m=args.m)
     if args.check_shift:
         lam_n, lam_d = obj["lambda_neumann"], obj["lambda_dirichlet"]
         obj["shift_defect"] = abs(lam_n - args.K - lam_d)
@@ -755,21 +752,22 @@ def cmd_ou(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    cfg = RunConfig(circle_n=args.n, sphere_subdivisions=args.subdivisions)
+    _check_floor("--n", args.n, 16)
     if args.case == "circle":
-        comp = build_weighted_circle(cfg.circle_n, radius=args.radius)
+        _check_radius(args.radius)
+        comp = build_weighted_circle(args.n, radius=args.radius)
         case = functools.partial(case_circle_spectrum, args.radius)
     elif args.case == "sphere":
-        comp = build_icosphere(cfg.sphere_subdivisions)
-        case = functools.partial(case_sphere_round, cfg)
+        comp = build_icosphere(args.subdivisions)
+        case = functools.partial(case_sphere_round, args.subdivisions)
     else:
         if args.a is None:
             print("error: --case sphere-height requires --a", file=sys.stderr)
             return 2
         _check_height_coefficient(args.a)
-        mesh = build_icosphere(cfg.sphere_subdivisions)
+        mesh = build_icosphere(args.subdivisions)
         comp = apply_weight(mesh, args.a * mesh.vertices[:, 2])
-        case = functools.partial(case_sphere_height, cfg, args.a)
+        case = functools.partial(case_sphere_height, args.subdivisions, args.a)
     res = lambda1_witten(comp)
     rep = case(comp, res)
     if args.export_off:
@@ -781,7 +779,7 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def cmd_shrinker(args: argparse.Namespace) -> int:
-    cfg = RunConfig(circle_n=args.n, rosette_points=args.points)
+    _check_floor("--points", args.points, 64)
     if args.gaussian:
         rep = case_gaussian()
         _emit(rep.to_json(), args.out)
@@ -789,8 +787,8 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
     if args.al is not None:
         p, q = args.al
         log: list = []
-        curve = find_abresch_langer(args.lam, p, q, n_points=cfg.rosette_points, log=log)
-        rep = case_rosette(cfg, curve)
+        curve = find_abresch_langer(args.lam, p, q, n_points=args.points, log=log)
+        rep = case_rosette(args.points, curve)
         if args.export:
             write_curve_csv(curve, args.export)
         if args.log:
@@ -800,7 +798,7 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
         _emit(rep.to_json(), args.out)
         return 0 if rep.passed else 1
     if args.circle:
-        curve = circle_shrinker(args.lam, cfg.circle_n)
+        curve = circle_shrinker(args.lam, args.n)
         rep = case_circle_shrinker(curve)
         if args.export:
             write_curve_csv(curve, args.export)
@@ -837,7 +835,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
             f"{', '.join(stray)}; remove them or choose another --out"
         )
     os.makedirs(args.out, exist_ok=True)
-    reports = run_suite(RunConfig())
+    reports = run_suite()
     for rep in reports:
         with open(os.path.join(args.out, rep.case_id + ".json"), "w") as fh:
             fh.write(rep.to_json())
@@ -878,17 +876,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--soliton", action="store_true", help="soliton diameter bounds")
     p_bounds.add_argument("--lambda", dest="lam", type=float, help="soliton constant")
     p_bounds.add_argument(
-        "--grid-size", dest="grid_size", type=int, default=RunConfig.sup_grid_size,
-        help="s-grid size",
+        "--grid-size", dest="grid_size", type=int, default=SUP_GRID_SIZE, help="s-grid size"
     )
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_ou = sub.add_parser("ou", parents=[common], help="interval comparison operator")
     p_ou.add_argument("--K", type=float, help="drift coefficient")
     p_ou.add_argument("--d", type=float, help="interval length")
-    p_ou.add_argument(
-        "--m", type=int, default=RunConfig.ou_m, help="cell count before extrapolation"
-    )
+    p_ou.add_argument("--m", type=int, default=OU_M, help="cell count before extrapolation")
     p_ou.add_argument("--bc", choices=("neumann", "dirichlet", "both"), default="both")
     p_ou.add_argument("--check-shift", dest="check_shift", action="store_true")
     p_ou.add_argument("--verify", action="store_true", help="certify the gap bound")
@@ -896,12 +891,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectral", parents=[common], help="weighted complex spectra")
     p_spec.add_argument("--case", choices=("circle", "sphere", "sphere-height"), required=True)
-    p_spec.add_argument("--n", type=int, default=RunConfig.circle_n, help="circle vertex count")
+    p_spec.add_argument("--n", type=int, default=CIRCLE_N, help="circle vertex count")
     p_spec.add_argument("--radius", type=float, default=1.0)
     p_spec.add_argument("--a", type=float, help="height weight coefficient")
     p_spec.add_argument(
-        "--subdivisions", type=int, default=RunConfig.sphere_subdivisions,
-        help="icosphere subdivisions",
+        "--subdivisions", type=int, default=SPHERE_SUBDIVISIONS, help="icosphere subdivisions"
     )
     p_spec.add_argument("--export-off", dest="export_off", help="write the complex as OFF")
     p_spec.add_argument(
@@ -914,10 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_shr.add_argument("--al", nargs=2, type=int, metavar=("P", "Q"))
     p_shr.add_argument("--gaussian", action="store_true")
     p_shr.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_shr.add_argument("--n", type=int, default=RunConfig.circle_n, help="circle point count")
-    p_shr.add_argument(
-        "--points", type=int, default=RunConfig.rosette_points, help="rosette node count"
-    )
+    p_shr.add_argument("--n", type=int, default=CIRCLE_N, help="circle point count")
+    p_shr.add_argument("--points", type=int, default=ROSETTE_POINTS, help="rosette node count")
     p_shr.add_argument("--export", help="write the curve as CSV")
     p_shr.add_argument(
         "--log", help="write the root-finding log as JSONL, one line per Brent evaluation"
@@ -935,7 +927,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, OSError, EigenvalueRangeError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

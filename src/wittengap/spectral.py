@@ -91,7 +91,9 @@ _OPENBLAS_THREAD_CALLS = (
 
 
 class EigensolverConvergenceError(RuntimeError):
-    """The sparse eigensolver hit its restart cap before converging."""
+    """The sparse eigensolver did not deliver a resolved lambda_1: it hit its
+    restart cap, failed in ARPACK or the shifted factor, or returned a
+    lambda_1 below what the shift resolves."""
 
 
 @dataclass
@@ -502,14 +504,17 @@ def lambda1_witten(complex_: WeightedComplex) -> SpectralResult:
     and the start vector is fixed, so the solve is deterministic.
     ``ARPACK_TOL`` is ARPACK's relative accuracy and
     ``ARPACK_MAX_RESTARTS`` its restart cap; when the cap is hit,
-    ``EigensolverConvergenceError`` is raised.  Shift-invert mode applies
-    only the solve and M, so S itself is never assembled.  Every loaded
+    ``EigensolverConvergenceError`` is raised.  The tolerance applies to
+    1 / (lam - SHIFT), so lambda_1 carries an absolute error up to about
+    |SHIFT| * ARPACK_TOL; a lambda_1 below that raises the same error, as
+    do ARPACK's own errors and a singular shifted factor.  Shift-invert
+    mode applies only the solve and M, so S itself is never assembled.  Every loaded
     OpenBLAS is held to one thread for the factor, the solve and the
     residual (``_one_blas_thread``), so the values do not depend on the
     thread count of the calling process.
     """
     from scipy import sparse  # 0.35 s and 33 MB to import; only mesh solves need it
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     n = complex_.n_vertices
     if n < 3:
@@ -521,7 +526,12 @@ def lambda1_witten(complex_: WeightedComplex) -> SpectralResult:
     weights = complex_.masses
     # one BLAS thread for the factor, the solve and the residual
     with _one_blas_thread():
-        order, lu = _shift_factor(complex_, SHIFT)
+        try:
+            order, lu = _shift_factor(complex_, SHIFT)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise EigensolverConvergenceError(
+                f"shifted factor failed at shift {SHIFT:g} on n = {n}: {exc}"
+            ) from exc
 
         def shift_solve(x: np.ndarray) -> np.ndarray:
             y = np.empty_like(x)
@@ -550,12 +560,22 @@ def lambda1_witten(complex_: WeightedComplex) -> SpectralResult:
                 f"ARPACK shift-invert found {len(exc.eigenvalues)} of {n_eigs + 1} "
                 f"eigenpairs within {ARPACK_MAX_RESTARTS} restarts (tol {ARPACK_TOL:.1e})"
             ) from exc
+        except ArpackError as exc:
+            raise EigensolverConvergenceError(
+                f"ARPACK shift-invert failed at shift {SHIFT:g} on n = {n}: {exc}"
+            ) from exc
         ascending = np.argsort(values)
         values, vectors = values[ascending], vectors[:, ascending]
         zero_scale = abs(values[0]) / max(1.0, abs(values[-1]))
         if zero_scale > 1e-8:
             raise RuntimeError(f"kernel eigenvalue did not separate: {values[:2]}")
         eigenvalues = np.asarray(values[1:], dtype=np.float64)
+        lam1 = float(eigenvalues[0])
+        if lam1 < abs(SHIFT) * ARPACK_TOL:
+            raise EigensolverConvergenceError(
+                f"lambda_1 = {lam1:.3e} is below the {abs(SHIFT) * ARPACK_TOL:.0e} that "
+                f"shift {SHIFT:g} with tol {ARPACK_TOL:.0e} resolves on n = {n}"
+            )
 
         # mass-orthogonal to constants, unit mass norm, largest entry positive
         v = vectors[:, 1]
@@ -565,14 +585,13 @@ def lambda1_witten(complex_: WeightedComplex) -> SpectralResult:
         if v[anchor] < 0.0:
             v = -v
 
-        lam1 = float(eigenvalues[0])
         r = witten_apply(complex_, v) * weights - lam1 * weights * v
         residual = math.sqrt(float(r @ (r / weights)))
 
-    cluster = eigenvalues <= lam1 * 1.05 + 1e-300
+    cluster = eigenvalues <= lam1 * 1.05
     beyond = eigenvalues[~cluster]
     if beyond.size:
-        multiplicity_gap = float((beyond[0] - lam1) / lam1) if lam1 > 0 else math.inf
+        multiplicity_gap = float((beyond[0] - lam1) / lam1)
     else:
         multiplicity_gap = 0.0
 

@@ -13,7 +13,7 @@ import multiprocessing
 import pytest
 
 import wittengap.bounds as bounds
-from wittengap.cli import HEIGHT_COEFFICIENTS, RunConfig, run_suite
+from wittengap.cli import HEIGHT_COEFFICIENTS, run_suite
 
 
 def announce(capsys, num: int, ok: bool, text: str) -> None:
@@ -39,7 +39,7 @@ def suite():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "_block_max", counting_block_max)
-        reports = {r.case_id: r for r in run_suite(RunConfig())}
+        reports = {r.case_id: r for r in run_suite()}
     return reports, points.value
 
 

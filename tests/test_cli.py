@@ -18,34 +18,41 @@ import wittengap.cli as cli
 import wittengap.shrinkers as shrinkers
 import wittengap.spectral as spectral
 from wittengap.bounds import _sweep_columns
-from wittengap.cli import RunConfig, build_parser, main, run_suite
+from wittengap.cli import build_parser, main, run_suite
 from wittengap.report import canonical_json
 
 # reduced resolutions: fast and deterministic, deliberately below several
 # certified tolerances so the failure path is exercised too
-TINY = RunConfig(
-    sup_grid_size=20000,
-    ou_m=100,
-    circle_n=64,  # coarse enough to miss the 1e-4 circle tolerance
-    sphere_subdivisions=2,
-    rosette_points=256,
-)
+TINY = {
+    "SUP_GRID_SIZE": 20000,
+    "OU_M": 100,
+    "CIRCLE_N": 64,  # coarse enough to miss the 1e-4 circle tolerance
+    "SPHERE_SUBDIVISIONS": 2,
+    "ROSETTE_POINTS": 256,
+}
 
 
 @pytest.fixture()
-def tiny_suite(monkeypatch):
+def tiny(monkeypatch):
+    """Sets the suite's certified resolutions to TINY."""
+    for name, value in TINY.items():
+        monkeypatch.setattr(cli, name, value)
+
+
+@pytest.fixture()
+def tiny_suite(monkeypatch, tiny):
     """Makes verify-all run the suite at TINY.
 
-    Returns the configs verify-all passed to ``run_suite``, one per run.
+    Returns one entry per ``run_suite()`` call that verify-all made.
     """
-    asked = []
+    calls = []
 
-    def reduced(cfg):
-        asked.append(cfg)
-        return run_suite(TINY)
+    def counted():
+        calls.append("run_suite()")
+        return run_suite()
 
-    monkeypatch.setattr(cli, "run_suite", reduced)
-    return asked
+    monkeypatch.setattr(cli, "run_suite", counted)
+    return calls
 
 
 def run_cli(capsys, *argv):
@@ -71,13 +78,32 @@ def count_calls(monkeypatch, modules, names):
     return calls
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(circle_n=8)
-    with pytest.raises(ValueError):
-        RunConfig(sphere_subdivisions=9)
-    with pytest.raises(ValueError):
-        RunConfig(sup_grid_size=10)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--K", "1", "--d", "1", "--grid-size", "99"),
+        ("ou", "--K", "1", "--d", "2", "--m", "7"),
+        ("spectral", "--case", "circle", "--n", "15"),
+        ("spectral", "--case", "sphere", "--subdivisions", "8"),
+        ("shrinker", "--circle", "--n", "15"),
+        ("shrinker", "--al", "2", "3", "--points", "63"),
+    ],
+    ids=["bounds-grid-size", "ou-m", "spectral-n", "spectral-subdivisions", "shrinker-n",
+         "shrinker-points"],
+)
+def test_resolution_flag_below_its_floor_exits_one(capsys, argv):
+    # the cli checks the floors stricter than the library's, the library the rest
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_resolution_flag_of_another_mode_is_not_checked(capsys):
+    # build_icosphere checks --subdivisions, and a circle builds no icosphere
+    rc, out, _ = run_cli(capsys, "spectral", "--case", "circle", "--subdivisions", "9")
+    assert rc == 0
+    assert json.loads(out)["case_id"] == "circle-spectrum-r=1"
 
 
 @pytest.mark.parametrize("line", ["tol_circle_rel = 1", "k_min = 0"])
@@ -223,7 +249,7 @@ def test_comparison_grid_solves_each_flat_problem_once(monkeypatch):
     # the flat-exactness check reads the K = 0 solves of the grid loop
     assert set(cli.EXACTNESS_DS) <= set(cli.D_GRID)
     calls = count_calls(monkeypatch, [cli], ["neumann_lambda1", "dirichlet_lambda1"])
-    rep = cli.case_comparison_grid(RunConfig(ou_m=200))
+    rep = cli.case_comparison_grid(200)
     n_grid = len(cli.K_GRID) * len(cli.D_GRID)
     assert calls == {"neumann_lambda1": n_grid, "dirichlet_lambda1": n_grid}
     assert rep.computed["exactness_worst_rel"] > 0.0
@@ -233,7 +259,7 @@ def test_comparison_grid_rejects_an_exactness_d_off_the_grid(monkeypatch):
     assert 1.5 not in cli.D_GRID
     monkeypatch.setattr(cli, "EXACTNESS_DS", (*cli.EXACTNESS_DS, 1.5))
     with pytest.raises(RuntimeError, match="saw 8 of 10 solves"):
-        cli.case_comparison_grid(RunConfig(ou_m=200))
+        cli.case_comparison_grid(200)
 
 
 def test_ou_verify_passes(capsys):
@@ -293,11 +319,11 @@ def test_spectral_builds_and_solves_once(capsys, monkeypatch, tmp_path):
     assert calls == {"build_icosphere": 1, "lambda1_witten": 1}
 
 
-def test_suite_shares_the_round_sphere(monkeypatch):
+def test_suite_shares_the_round_sphere(monkeypatch, tiny):
     names = ["build_icosphere", "lambda1_witten"]
     calls = count_calls(monkeypatch, [cli, spectral], names)
     orders = count_calls(monkeypatch, [spectral], ["_nested_dissection"])
-    assert len(run_suite(TINY)) == 14
+    assert len(run_suite()) == 14
     # sphere-round and the four height cases share one mesh, the shift case
     # builds its own; one solve per circle, round sphere and height case
     # except a = 0, which is the round sphere, and three for the shift case;
@@ -384,8 +410,7 @@ def rosette_work(monkeypatch):
 def test_rosette_case_shoots_once(rosette_work):
     counts, one_rosette = rosette_work
     assert one_rosette["integrations"] == 1
-    cfg = RunConfig(rosette_points=256)
-    rep = cli.case_rosette(cfg, cli.find_abresch_langer(1.0, 2, 3, n_points=256))
+    rep = cli.case_rosette(256, cli.find_abresch_langer(1.0, 2, 3, n_points=256))
     assert rep.case_id == "shrinker-rosette-2-3"
     assert counts["quadratures"] == one_rosette["quadratures"]
     # the fine curve's arc, then the coarse curve's from the same root
@@ -428,7 +453,7 @@ def test_bad_flags_exit_two():
 
 
 def test_internal_error_exits_one(capsys):
-    # a resolution flag below its RunConfig minimum fails validation
+    # a cell count below OUProblem's floor fails validation
     rc, _, err = run_cli(capsys, "ou", "--K", "1", "--d", "2", "--m", "4")
     assert rc == 1
     assert "error:" in err
@@ -489,8 +514,8 @@ def test_verify_all_determinism_and_failure_report(capsys, tmp_path, tiny_suite)
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     rc1, stdout1, err1 = run_cli(capsys, "verify-all", "--out", out1)
     rc2, stdout2, _ = run_cli(capsys, "verify-all", "--out", out2)
-    # verify-all asks for the certified resolutions, always
-    assert tiny_suite == [RunConfig(), RunConfig()]
+    # verify-all runs the suite at its certified resolutions, once per run
+    assert len(tiny_suite) == 2
     assert rc1 == rc2 == 1
     assert stdout1 == stdout2
     # the coarse s-grid fails first in case-id order
@@ -537,7 +562,7 @@ def test_verify_all_env_out_dir(capsys, tmp_path, monkeypatch, tiny_suite):
     monkeypatch.setenv("WITTEN_GAP_OUT", str(tmp_path / "from-env"))
     rc, stdout, _ = run_cli(capsys, "verify-all")
     assert rc == 1
-    assert tiny_suite == [RunConfig()]
+    assert len(tiny_suite) == 1
     assert (tmp_path / "reports" / "summary.json").exists()
     assert not (tmp_path / "from-env").exists()
     assert "cases passed" in stdout
@@ -587,10 +612,10 @@ def test_suite_grid_equals_one_serial_sweep(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     Ks = list(np.linspace(*cli.K_RANGE, cli.N_K))
     ds = list(np.linspace(*cli.D_RANGE, cli.N_D))
-    with cli.start_closed_vs_grid(TINY) as sweep:
+    with cli.start_closed_vs_grid(TINY["SUP_GRID_SIZE"]) as sweep:
         cli.case_gaussian()
         grids = sweep.finish()
-    assert grids.tobytes() == _sweep_columns(Ks, ds, TINY.sup_grid_size).tobytes()
+    assert grids.tobytes() == _sweep_columns(Ks, ds, TINY["SUP_GRID_SIZE"]).tobytes()
 
 
 _COLUMN_LOG = None
@@ -609,12 +634,12 @@ def test_suite_error_stops_the_sweep_workers(monkeypatch, tmp_path):
     monkeypatch.setattr(sys.modules[__name__], "_COLUMN_LOG", str(tmp_path / "columns"))
     monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_logged)
 
-    def failing(cfg):
+    def failing(m):
         raise RuntimeError("comparison grid failed")
 
     monkeypatch.setattr(cli, "case_comparison_grid", failing)
     with pytest.raises(RuntimeError, match="comparison grid failed"):
-        run_suite(RunConfig())
+        run_suite()
     assert multiprocessing.active_children() == []
     log = tmp_path / "columns"
     swept = log.read_text().splitlines() if log.exists() else []
@@ -627,6 +652,25 @@ def test_bounds_rejects_a_diameter_out_of_float_range(capsys, d):
     assert rc == 1
     assert out == ""
     assert "error: diameter d out of range" in err
+
+
+@pytest.mark.parametrize("radius", ["1e200", "1e-160", "inf"])
+def test_spectral_rejects_a_radius_out_of_float_range(capsys, monkeypatch, radius):
+    # 1/r^2 overflowed at 1e200; the range is checked before the circle is built
+    calls = count_calls(monkeypatch, [cli], ["build_weighted_circle"])
+    rc, out, err = run_cli(capsys, "spectral", "--case", "circle", "--radius", radius)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: radius out of range")
+    assert calls == {"build_weighted_circle": 0}
+
+
+@pytest.mark.parametrize("radius", ["1e7", "1e20", "1e100", "1e-100"])
+def test_spectral_circle_the_solver_cannot_resolve_exits_one(capsys, radius):
+    rc, out, err = run_cli(capsys, "spectral", "--case", "circle", "--radius", radius)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "shift -0.001" in err
 
 
 def readme_commands():

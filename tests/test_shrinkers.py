@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wittengap.shrinkers as shrinkers
-from wittengap.cli import RunConfig, case_rosette
+from wittengap.cli import case_rosette
 from wittengap.shrinkers import (
     assemble_rosette,
     circle_shrinker,
@@ -310,7 +310,7 @@ def test_potential_is_ritz_eigenfunction():
 
 
 def test_diameter_certificates(rosette23):
-    rep = case_rosette(RunConfig(), rosette23)
+    rep = case_rosette(4096, rosette23)
     assert rep.passed
     assert rep.margins["d_vs_bound_half"] == pytest.approx(5.756259, abs=1e-4)
     assert rep.margins["d_vs_bound_sup"] == pytest.approx(5.718087, abs=1e-4)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittengap import spectral
-from wittengap.cli import RunConfig, case_sphere_height
+from wittengap.cli import case_sphere_height
 from wittengap.spectral import (
     SHIFT,
     EigensolverConvergenceError,
@@ -338,6 +338,27 @@ def test_eigensolver_restart_cap(monkeypatch):
     assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
 
 
+@pytest.mark.parametrize(
+    "n, radius, match",
+    [
+        # lambda_1 = 1/R^2 below |SHIFT| * ARPACK_TOL = 1e-13: off by 4.6e-4 at
+        # R = 1e7, negative at R = 1e20
+        (1000, 1e7, "below the 1e-13"),
+        (1000, 1e20, "below the 1e-13"),
+        (1000, 1e-100, "ARPACK .* failed at shift -0.001 on n = 1000"),
+        (16, 1e-150, "shifted factor failed at shift -0.001 on n = 16"),
+    ],
+)
+def test_eigenvalue_the_shift_cannot_resolve_is_refused(n, radius, match):
+    with pytest.raises(EigensolverConvergenceError, match=match):
+        lambda1_witten(build_weighted_circle(n, radius=radius))
+
+
+def test_smallest_resolved_circle_eigenvalue_still_solves():
+    res = lambda1_witten(build_weighted_circle(1000, radius=1e6))
+    assert res.lambda1 == pytest.approx(1e-12, rel=1e-5)
+
+
 def test_solve_assembles_no_stiffness_matrix(monkeypatch):
     # shift-invert ARPACK applies the factored solve and M, never S
     def refused(complex_):
@@ -465,17 +486,16 @@ def test_complex_validation():
 
 
 def test_sphere_height_report():
-    cfg = RunConfig(sphere_subdivisions=3)
     mesh = build_icosphere(3)
     weighted = apply_weight(mesh, 0.5 * mesh.vertices[:, 2])
     res = lambda1_witten(weighted)
-    rep = case_sphere_height(cfg, 0.5, weighted, res)
+    rep = case_sphere_height(3, 0.5, weighted, res)
     assert rep.case_id == "sphere-height-a=0.5"
     assert rep.passed
     assert set(rep.margins) == {"gap_vs_sup_closed"}
     assert rep.computed["lambda1"] > rep.bounds["sup_closed"]
     with pytest.raises(ValueError):
-        case_sphere_height(cfg, 1.0, weighted, res)
+        case_sphere_height(3, 1.0, weighted, res)
 
 
 def test_exports_roundtrip(tmp_path):
