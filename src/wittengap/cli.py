@@ -528,9 +528,11 @@ def case_circle_shrinker(curve: ShrinkerCurve) -> VerificationReport:
     """Circle self-shrinker from ``circle_shrinker``: exact radius, pointwise
     residual, trivial weight."""
     lam = curve.lam
-    r_exact = 1.0 / math.sqrt(lam)
-    radius_defect = float(np.abs(curve.radii - r_exact).max())
-    residual = curve.residual()
+    root = math.sqrt(lam)
+    r_exact = 1.0 / root
+    # in lam = 1 units, like every shrinker gate
+    radius_defect = float(np.abs(curve.radii - r_exact).max()) * root
+    residual = curve.residual() / root
     phi_sup = float(np.abs(potential_phi(curve)).max())
     kd = k0_and_diameter(curve)
     return make_report(
@@ -562,8 +564,11 @@ def case_rosette(points: int, curve: ShrinkerCurve) -> VerificationReport:
     a coarse curve assembled from the same arc at a quarter of ``points``,
     the node count asked of ``curve``, and the diameter bounds:
     d >= pi / sqrt(3 lam / 2 + K0 / 2) and its supremum over the
-    interpolation parameter, with K0 = max k^2 and d half the length."""
+    interpolation parameter, with K0 = max k^2 and d half the length.
+    Every gate is dimensionless: the diameter margins are in lam = 1
+    units, and the library's closure and eigen-identity residuals too."""
     lam, p, q = curve.lam, curve.rotation_p, curve.petals_q
+    root = math.sqrt(lam)
     coarse = assemble_rosette(curve.arc, max(points // 4, 64))
     res_fine = eigen_identity_residual(curve)
     res_coarse = eigen_identity_residual(coarse)
@@ -600,8 +605,8 @@ def case_rosette(points: int, curve: ShrinkerCurve) -> VerificationReport:
             "eigen_identity": -res_fine,
             "refinement_ratio_low": ratio - 8.0,
             "refinement_ratio_high": 32.0 - ratio,
-            "d_vs_bound_half": kd.d - bound_half,
-            "d_vs_bound_sup": kd.d - bound_sup,
+            "d_vs_bound_half": (kd.d - bound_half) * root,
+            "d_vs_bound_sup": (kd.d - bound_sup) * root,
         },
         tolerances={
             "closure": TOL_ROSETTE_CLOSURE,

@@ -21,7 +21,11 @@ quadrature per trial, solved by Brent's method (Brent, *Algorithms for
 Minimization without Derivatives*, 1973).  ``assemble_rosette`` then
 integrates the fundamental arc once by DOP853 and joins 2q reflected
 copies of it at any node count.  With ``circle_shrinker`` these are the
-only constructors, so every ``ShrinkerCurve`` is closed.
+only constructors, so every ``ShrinkerCurve`` is closed.  Both build the
+curve at lam = 1 and map it by the exact scaling x -> x / sqrt(lam),
+k -> sqrt(lam) k, so every check reads the same dimensionless curve at
+any lam; a lam that would carry the curve out of the normal float range
+is refused by name.
 
 Every closed curve carries the potential phi = lam |x|^2 / 2 - 1/2,
 which the drift Laplacian of the induced weighted ring complex maps to
@@ -34,11 +38,11 @@ d >= pi / sqrt(3 lam / 2 + K0 / 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spectral import WeightedComplex, apply_weight, witten_apply
+from .spectral import WeightedComplex, _ring, apply_weight, witten_apply
 
 __all__ = [
     "ShrinkerCurve",
@@ -66,9 +70,12 @@ _TURNING_BRACKET = (1e-6, 0.99)
 # largest closure residual an assembled rosette may have
 TOL_CLOSURE = 1e-8
 # DOP853 tolerances of the fundamental-arc integration: rtol just above
-# solve_ivp's floor of 100 eps, atol far below every state at any lam
+# solve_ivp's floor of 100 eps, atol far below every state of the arc,
+# which is always integrated at lam = 1
 _RTOL = 3e-14
 _ATOL = 1e-16
+_TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
 
 
 class ArcIntegrationError(RuntimeError):
@@ -83,8 +90,8 @@ class ShrinkerCurve:
     The nodes are spaced by ``h`` and do not repeat the first point, so
     the length is ``n_points * h``.  ``rotation_p``/``petals_q`` are
     (0, 0) for circles and the (p, q) indices for assembled rosettes,
-    whose maximal joint mismatch is recorded in ``closure_residual`` and
-    whose fundamental arc is kept in ``arc``.
+    whose maximal joint mismatch, in lam = 1 units, is recorded in
+    ``closure_residual`` and whose fundamental arc is kept in ``arc``.
     """
 
     lam: float
@@ -155,23 +162,55 @@ class CurvatureDiameter:
 
 
 def circle_shrinker(lam: float, n_points: int) -> ShrinkerCurve:
-    """The circle solution: radius 1/sqrt(lam), constant curvature lam r."""
+    """The circle solution: radius 1/sqrt(lam), constant curvature
+    sqrt(lam); the unit circle mapped by ``_scaled``."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam!r}")
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
-    r = 1.0 / math.sqrt(lam)
     alpha = 2.0 * math.pi * np.arange(n_points) / n_points
-    points = np.column_stack([r * np.cos(alpha), r * np.sin(alpha)])
-    return ShrinkerCurve(
-        lam=lam,
-        points=points,
+    unit = ShrinkerCurve(
+        lam=1.0,
+        points=np.column_stack([np.cos(alpha), np.sin(alpha)]),
         angles=alpha + 0.5 * math.pi,
-        curvatures=np.full(n_points, lam * r),
-        h=2.0 * math.pi * r / n_points,
-        rotation_p=0,
-        petals_q=0,
+        curvatures=np.ones(n_points),
+        h=2.0 * math.pi / n_points,
         closure_residual=0.0,
+    )
+    return _scaled(unit, lam)
+
+
+def _scaled(curve: ShrinkerCurve, lam: float) -> ShrinkerCurve:
+    """``curve``, a solution at lam = 1, mapped to lam: lengths divided
+    by sqrt(lam), curvatures multiplied by it, angles kept.
+
+    Squared lengths (h^2, |x|^2) then scale by 1/lam, and squared
+    curvatures and the operands of the eigen identity (2 lam phi and the
+    drift Laplacian of phi, at most 2 lam max(1, max|phi|)) by lam.  A
+    lam for which the largest or the smallest of either kind leaves the
+    normal float range, with one binade to spare for rounding, raises a
+    ``ValueError`` that names the range; 1/h^2 is then in range too.  At
+    lam = 1 every factor is 1.0, so the curve keeps its bits.
+    """
+    r2 = (curve.points**2).sum(axis=1)
+    k2 = curve.curvatures**2
+    phi_top = max(1.0, float(np.abs(0.5 * r2 - 0.5).max()))
+    lengths = (curve.h * curve.h, float(r2.max()))
+    inverse = (float(k2.min()), float(k2.max()), 2.0 * phi_top)
+    low = 2.0 * max(max(lengths) / _HUGE, _TINY / min(inverse))
+    high = 0.5 * min(min(lengths) / _TINY, _HUGE / max(inverse))
+    if not low <= lam <= high:
+        raise ValueError(
+            f"lam = {lam!r} is outside [{low:.3e}, {high:.3e}], where this curve "
+            "and its eigen identity stay in the normal float range"
+        )
+    root = math.sqrt(lam)
+    return replace(
+        curve,
+        lam=lam,
+        points=curve.points / root,
+        curvatures=curve.curvatures * root,
+        h=curve.h / root,
     )
 
 
@@ -308,20 +347,22 @@ def find_abresch_langer(
 def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
     """Closed rosette of about ``n_points`` nodes from its fundamental arc.
 
-    The arc is integrated once by DOP853 and sampled at
-    J = n_points / (2 q) uniform nodes, and the closed curve is 2q
-    alternately reflected copies of it.  Raises ``ArcIntegrationError``
-    when the integrator fails, and ``RuntimeError`` when the closure
-    residual exceeds ``TOL_CLOSURE``: the worst joint gap, or the radial
+    The arc, scaled to lam = 1, is integrated once by DOP853 and sampled
+    at J = n_points / (2 q) uniform nodes, the closed curve is 2q
+    alternately reflected copies of it, and ``_scaled`` maps it to
+    ``arc.lam``.  Raises ``ArcIntegrationError`` when the integrator
+    fails, and ``RuntimeError`` when the closure residual, in lam = 1
+    units, exceeds ``TOL_CLOSURE``: the worst joint gap, or the radial
     velocity <x, T> at the end of the integrated arc, which vanishes
     where the arc meets its symmetry line at a right angle.
     """
-    lam, q = arc.lam, arc.q
+    q, root = arc.q, math.sqrt(arc.lam)
     psi = math.pi * arc.p / q
     J = max(int(round(n_points / (2 * q))), 16)
-    xs1, xs2, TH = _integrate(lam, arc.r0, arc.length, J)
+    length = arc.length * root
+    xs1, xs2, TH = _integrate(1.0, arc.r0 * root, length, J)
     X = np.column_stack([xs1, xs2])
-    KK = _curvature_of(lam, xs1, xs2, TH)
+    KK = _curvature_of(1.0, xs1, xs2, TH)
 
     # copies alternate: rotation by 2 j psi of the arc, and of its
     # reflection across the psi-line (a flip of y, then rotation by
@@ -354,17 +395,18 @@ def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
         raise RuntimeError(
             f"assembled closure residual {closure:.3e} exceeds {TOL_CLOSURE:.1e}"
         )
-    return ShrinkerCurve(
-        lam=lam,
+    unit = ShrinkerCurve(
+        lam=1.0,
         points=points,
         angles=angles,
         curvatures=curvatures,
-        h=arc.length / J,
+        h=length / J,
         rotation_p=arc.p,
         petals_q=q,
         closure_residual=closure,
         arc=arc,
     )
+    return _scaled(unit, arc.lam)
 
 
 def _rot2(angle: float) -> np.ndarray:
@@ -386,17 +428,8 @@ def curve_complex(curve: ShrinkerCurve) -> WeightedComplex:
     change of measure; the pencil realizes the drift Laplacian of the
     curve with its shrinker potential.
     """
-    n = curve.n_points
-    vertices = np.column_stack([curve.points, np.zeros(n)])
-    edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n]).astype(np.int64)
-    base = WeightedComplex(
-        vertices=vertices,
-        edges=edges,
-        conductances=np.full(n, 1.0 / curve.h),
-        masses=np.full(n, curve.h),
-        phi=np.zeros(n),
-    )
-    return apply_weight(base, potential_phi(curve))
+    vertices = np.column_stack([curve.points, np.zeros(curve.n_points)])
+    return apply_weight(_ring(vertices, curve.h), potential_phi(curve))
 
 
 def mean_curvature_identity_residual(curve: ShrinkerCurve) -> float:
@@ -418,12 +451,14 @@ def eigen_identity_residual(curve: ShrinkerCurve) -> float:
     Builds the weighted ring complex of the curve and compares
     2 lam phi with Mass^{-1} Stiffness phi (the positive-semidefinite
     realization, so the identity reads witten_apply(phi) = 2 lam phi).
-    Normalized by max(1, ||phi||_inf).
+    Normalized by lam max(1, ||phi||_inf): phi does not change with the
+    scale of the curve and both sides grow like lam, so the residual is
+    dimensionless.
     """
     phi = potential_phi(curve)
     wc = curve_complex(curve)
     defect = 2.0 * curve.lam * phi - witten_apply(wc, phi)
-    return float(np.abs(defect).max() / max(1.0, np.abs(phi).max()))
+    return float(np.abs(defect).max() / (curve.lam * max(1.0, np.abs(phi).max())))
 
 
 def k0_and_diameter(curve: ShrinkerCurve) -> CurvatureDiameter:

@@ -253,8 +253,14 @@ def build_weighted_circle(n: int, radius: float = 1.0) -> WeightedComplex:
     vertices = np.column_stack(
         [radius * np.cos(angle), radius * np.sin(angle), np.zeros(n)]
     )
+    return _ring(vertices, 2.0 * math.pi * radius / n)
+
+
+def _ring(vertices: np.ndarray, h: float) -> WeightedComplex:
+    """The periodic ring through ``vertices`` in order: edge i -> i + 1 mod n,
+    conductance 1/h, mass h and phi 0."""
+    n = vertices.shape[0]
     edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n]).astype(np.int64)
-    h = 2.0 * math.pi * radius / n
     return WeightedComplex(
         vertices=vertices,
         edges=edges,
@@ -331,25 +337,24 @@ def build_icosphere(subdivisions: int) -> WeightedComplex:
     for k in range(3):
         u = corner[:, (k + 1) % 3] - corner[:, k]
         v = corner[:, (k + 2) % 3] - corner[:, k]
-        cross = np.cross(u, v)
-        cots[:, k] = (u * v).sum(axis=1) / np.linalg.norm(cross, axis=1)
-    area = 0.5 * np.linalg.norm(
-        np.cross(corner[:, 1] - corner[:, 0], corner[:, 2] - corner[:, 0]), axis=1
-    )
+        twice_area = np.linalg.norm(np.cross(u, v), axis=1)
+        cots[:, k] = (u * v).sum(axis=1) / twice_area
+        if k == 0:
+            area = 0.5 * twice_area
 
-    pair = np.concatenate([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]])
-    pair.sort(axis=1)
-    weight = 0.5 * cots.T.reshape(-1)
-    edges, inverse = np.unique(pair, axis=0, return_inverse=True)
+    # each edge once, by the key min * n + max, which sorts as the rows do
+    ends = np.concatenate([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]])
+    key, inverse = np.unique(ends.min(axis=1) * n + ends.max(axis=1), return_inverse=True)
+    edges = np.column_stack(np.divmod(key, n))
     conductances = np.zeros(edges.shape[0])
-    np.add.at(conductances, inverse, weight)
+    np.add.at(conductances, inverse, 0.5 * cots.T.reshape(-1))
 
     masses = np.zeros(n)
     np.add.at(masses, faces.reshape(-1), np.repeat(area / 3.0, 3))
 
     return WeightedComplex(
         vertices=vertices,
-        edges=edges.astype(np.int64),
+        edges=edges,
         conductances=conductances,
         masses=masses,
         phi=np.zeros(n),

@@ -26,6 +26,14 @@ below eps times the matrix norm comes out to relative accuracy, down to
 the smallest normal float; one outside the normal range raises
 ``EigenvalueRangeError``.
 
+The OU profile lives on one half-spaced grid x_k = (k - m) h / 2,
+k = 1, ..., 2m - 1, h = d / m: its odd points are the m cell centres and
+its even points the m - 1 interior faces.  Each x_k is one rounding of
+an exact product, and x_{2m-k} = -x_k bit for bit, so the weight is
+evaluated once on the grid and the profile is reflection-symmetric.
+Since h_2m = h_m / 2 exactly, the grid of m cells is every other point
+of the grid of 2m cells, with the same bits.
+
 A pencil whose conductances and masses are both reflection-symmetric, as
 every ``discretize_ou`` profile is bitwise, has an even ground state.
 It is folded before anything else is formed and solved on its left half,
@@ -38,14 +46,15 @@ other profile is solved on the whole path, held at both ends, in the
 semiseparable form of its Green's function.
 
 ``raw_lambda1`` and the Richardson pair never build the whole OU pencil:
-they form the weight at the left half's centres and faces only, the same
-bits as the start of ``discretize_ou``'s arrays, and solve that half
-path with the same routine, so they return ``lowest_eigenvalue``'s bits.
-The pair's 2m solve starts from the m solve's eigenvector, carried to
-the finer grid by copying and averaging neighbours (``_prolong``), and
-needs about 4.2 power steps on the criterion-01 box instead of 6.4
-(Neumann) or 10.5 (Dirichlet); the extrapolated value moves only at
-round-off, within about 2e-14 relative.
+they form the weight on the left half of the grid only, the same bits as
+the start of ``discretize_ou``'s arrays, and solve that half path with
+the same routine, so they return ``lowest_eigenvalue``'s bits.  The pair
+evaluates the weight once, on the 2m grid, and the m solve reads every
+other point of it.  Its 2m solve starts from the m solve's eigenvector,
+carried to the finer grid by copying and averaging neighbours
+(``_prolong``), and needs about 4.2 power steps on the criterion-01 box
+instead of 6.4 (Neumann) or 10.5 (Dirichlet); the extrapolated value
+moves only at round-off, within about 2e-14 relative.
 
 Two structural facts make good cross-checks and are exploited by the test
 suite:
@@ -238,23 +247,18 @@ def _weight(K: float, d: float, x: np.ndarray) -> np.ndarray:
     return np.ldexp(np.exp(-0.5 * K * x * x), 2 * round(K * d * d / (32.0 * math.log(2.0))))
 
 
-def _ou_profile(problem: OUProblem, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The OU profile's conductances w/h and masses w h, or the first
-    ``count`` of each (see ``discretize_ou``).
-
-    The m cell centres and the m - 1 interior faces are the two staggered
-    grids.  A leading part of either is the same bits as the start of the
-    whole, so the half path is built without the other half.
-    """
+def _ou_weight(problem: OUProblem, points: int) -> np.ndarray:
+    """The weight at the first ``points`` points of the half-spaced grid."""
     K, d, m = problem.K, problem.d, problem.m
-    h = d / m
-    n_centres, n_faces = (m, m - 1) if count is None else (count, count)
-    # centered index coordinates: x = (i - center) h is exactly odd under
-    # i -> (last - i), so the weight arrays are exactly reflection-symmetric
-    centres = (np.arange(n_centres) - 0.5 * (m - 1)) * h
-    faces = (np.arange(1, n_faces + 1) - 0.5 * m) * h
-    links, nodes = (faces, centres) if problem.bc == NEUMANN else (centres, faces)
-    return _weight(K, d, links) / h, _weight(K, d, nodes) * h
+    return _weight(K, d, (np.arange(1, points + 1) - m) * (0.5 * (d / m)))
+
+
+def _ou_profile(problem: OUProblem, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conductances w/h and masses w h from the weight ``w`` on the grid:
+    all 2m - 1 points give the whole profile, the first 2c the first c."""
+    links, nodes = (w[1::2], w[0::2]) if problem.bc == NEUMANN else (w[0::2], w[1::2])
+    h = problem.d / problem.m
+    return links / h, nodes * h
 
 
 def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
@@ -271,7 +275,7 @@ def discretize_ou(problem: OUProblem) -> TridiagonalPencil:
     second order; the stiffness is positive semidefinite by construction.
     w carries the constant factor of ``_weight``, which both sides share.
     """
-    conductances, mass = _ou_profile(problem)
+    conductances, mass = _ou_profile(problem, _ou_weight(problem, 2 * problem.m - 1))
     return TridiagonalPencil(conductances=conductances, mass=mass, bc=problem.bc)
 
 
@@ -476,20 +480,6 @@ def lowest_eigenvalue(pencil: TridiagonalPencil) -> float:
     return _power_iteration(_two_ended(resistances, masses), _cold_start(c, mass, bc))[0]
 
 
-def _ou_lowest(problem: OUProblem, start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """``lowest_eigenvalue(discretize_ou(problem))`` bit for bit, from the
-    left half of the profile alone, and the eigenvector on the half path.
-
-    The OU profile is reflection-symmetric by construction, so no whole
-    pencil is built or compared with its reversal.  The solved path has
-    m - 1 unknowns for either condition, so an even m keeps the centre
-    unknown and an odd m drops the centre link.
-    """
-    m = problem.m
-    conductances, mass = _ou_profile(problem, m // 2)
-    return _half_path(conductances, mass, problem.bc, m % 2 == 0, start)
-
-
 def _prolong(v: np.ndarray, m: int) -> np.ndarray:
     """A half-path eigenvector of the OU problem on m cells (in the solved
     path's variable v, see ``_half_path``), carried to 2m cells.
@@ -512,21 +502,29 @@ def _prolong(v: np.ndarray, m: int) -> np.ndarray:
 
 
 def raw_lambda1(K: float, d: float, m: int, bc: str) -> float:
-    """First nonzero eigenvalue of L on m cells, without extrapolation."""
-    return _ou_lowest(OUProblem(K=K, d=d, m=m, bc=bc))[0]
+    """First nonzero eigenvalue of L on m cells, without extrapolation:
+    ``lowest_eigenvalue(discretize_ou(...))`` bit for bit, from the left
+    half of the profile.  The solved path has m - 1 unknowns for either
+    condition, so an even m keeps the centre unknown."""
+    problem = OUProblem(K=K, d=d, m=m, bc=bc)
+    return _half_path(*_ou_profile(problem, _ou_weight(problem, m // 2 * 2)), bc, m % 2 == 0)[0]
 
 
 def _richardson_lambda1(K: float, d: float, m: int, bc: str) -> float:
     """Solves at m and 2m cells and returns (4 lam_{2m} - lam_m) / 3,
     which cancels the leading h^2 error of the finite-volume scheme.
 
-    The 2m solve starts from the m solve's eigenvector, prolonged (see
-    ``_prolong``), which cuts its power steps on the criterion-01 box
-    from 6.4 (Neumann) and 10.5 (Dirichlet) to 4.2 on average.
+    Both solves read one weight: h_m = 2 h_2m exactly, so the m-cell
+    grid is every other point of the 2m-cell one.  The 2m solve starts
+    from the m solve's eigenvector, prolonged (see ``_prolong``), which
+    cuts its power steps on the criterion-01 box from 6.4 (Neumann) and
+    10.5 (Dirichlet) to 4.2 on average.
     """
-    coarse, v = _ou_lowest(OUProblem(K=K, d=d, m=m, bc=bc))
-    fine = _ou_lowest(OUProblem(K=K, d=d, m=2 * m, bc=bc), _prolong(v, m))[0]
-    return (4.0 * fine - coarse) / 3.0
+    coarse, fine = (OUProblem(K=K, d=d, m=n, bc=bc) for n in (m, 2 * m))
+    w = _ou_weight(fine, 2 * m)
+    lam_m, v = _half_path(*_ou_profile(coarse, w[1::2][: m // 2 * 2]), bc, m % 2 == 0)
+    lam_2m = _half_path(*_ou_profile(fine, w), bc, True, _prolong(v, m))[0]
+    return (4.0 * lam_2m - lam_m) / 3.0
 
 
 def neumann_lambda1(K: float, d: float, m: int = 2000) -> float:

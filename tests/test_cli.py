@@ -1,6 +1,8 @@
 """Command-line interface: output values, settings, determinism, exit codes."""
 
+import contextlib
 import filecmp
+import io
 import json
 import math
 import multiprocessing
@@ -8,10 +10,13 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wittengap.bounds as bounds
 import wittengap.cli as cli
@@ -424,6 +429,37 @@ def test_shrinker_rosette_export_reuses_the_shooting(capsys, tmp_path, rosette_w
     assert curve_csv.exists()
     assert counts["quadratures"] == one_rosette["quadratures"]
     assert counts["integrations"] == 2
+
+
+@pytest.mark.parametrize("mode", [["--circle"], ["--al", "2", "3"]])
+@given(lam=st.floats())
+@example(lam=2000.0)
+@example(lam=1e6)
+@example(lam=1e-14)
+@example(lam=1e-300)
+@example(lam=1e-320)
+@example(lam=math.nan)
+@example(lam=-math.inf)
+@example(lam=0.0)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_shrinker_lambda_certifies_or_is_refused_by_name(mode, lam):
+    # every float argparse accepts, at the default resolutions: a passing
+    # report, or exit 1 with one error line; no traceback, no RuntimeWarning
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["shrinker", *mode, f"--lambda={lam!r}"])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err
+    if rc == 0:
+        assert json.loads(out)["pass"] is True
+        assert err == ""
+    else:
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("p, q", [("1", "0"), ("-2", "-3")])

@@ -213,6 +213,22 @@ def test_arc_matches_the_rk4_shooting():
     assert arc.length == pytest.approx(2.4892487587150676, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e-14, 2000.0, 1e6, 1e300])
+def test_rosette_margins_do_not_depend_on_scale(rosette23, lam):
+    # every gate is dimensionless: the curve at lam is the lam = 1 curve
+    # scaled, so each margin moves at round-off only
+    unit = case_rosette(4096, rosette23).margins
+    scaled = case_rosette(4096, find_abresch_langer(lam, 2, 3)).margins
+    for name, margin in unit.items():
+        assert scaled[name] == pytest.approx(margin, rel=1e-4, abs=1e-11), name
+
+
+@pytest.mark.parametrize("n_points, lam", [(1000, 1e-320), (1000, 1e303), (16, 1e307)])
+def test_circle_out_of_float_range_is_refused_by_name(n_points, lam):
+    with pytest.raises(ValueError, match=r"lam = .* is outside \[.*\], where this curve"):
+        circle_shrinker(lam, n_points)
+
+
 @pytest.mark.parametrize("lam", [4.0, 0.3, 7.5])
 def test_arc_scales_exactly_with_lam(lam):
     unit = find_abresch_langer(1.0, 2, 3, n_points=64).arc

@@ -15,7 +15,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittengap import spectral
+from wittengap import shrinkers, spectral
 from wittengap.cli import case_sphere_height
 from wittengap.spectral import (
     SHIFT,
@@ -46,6 +46,79 @@ def two_segment_complex():
         masses=np.ones(4),
         phi=np.zeros(4),
     )
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _icosphere_reference(mesh):
+    # edges by a row-wise unique, areas from their own cross product: the
+    # arrays that build_icosphere's single pass must reproduce bit for bit
+    faces = mesh.faces
+    corner = mesh.vertices[faces]
+    cots = np.empty_like(faces, dtype=np.float64)
+    for k in range(3):
+        u = corner[:, (k + 1) % 3] - corner[:, k]
+        v = corner[:, (k + 2) % 3] - corner[:, k]
+        cots[:, k] = (u * v).sum(axis=1) / np.linalg.norm(np.cross(u, v), axis=1)
+    edge_a, edge_b = corner[:, 1] - corner[:, 0], corner[:, 2] - corner[:, 0]
+    area = 0.5 * np.linalg.norm(np.cross(edge_a, edge_b), axis=1)
+    pair = np.concatenate([faces[:, [1, 2]], faces[:, [2, 0]], faces[:, [0, 1]]])
+    pair.sort(axis=1)
+    edges, inverse = np.unique(pair, axis=0, return_inverse=True)
+    conductances = np.zeros(edges.shape[0])
+    np.add.at(conductances, inverse.reshape(-1), 0.5 * cots.T.reshape(-1))
+    masses = np.zeros(mesh.n_vertices)
+    np.add.at(masses, faces.reshape(-1), np.repeat(area / 3.0, 3))
+    return edges, conductances, masses
+
+
+@pytest.mark.parametrize("sub", range(7))
+def test_icosphere_single_pass_gives_the_row_wise_bits(sub):
+    mesh = build_icosphere(sub)
+    built = (mesh.edges, mesh.conductances, mesh.masses)
+    assert all(_same_bits(*pair) for pair in zip(built, _icosphere_reference(mesh)))
+
+
+def _hand_built_ring(vertices, h):
+    n = vertices.shape[0]
+    return WeightedComplex(
+        vertices=vertices,
+        edges=np.array([[i, (i + 1) % n] for i in range(n)], dtype=np.int64),
+        conductances=np.full(n, 1.0 / h),
+        masses=np.full(n, h),
+        phi=np.zeros(n),
+    )
+
+
+def _same_complex(got, want):
+    names = ("vertices", "edges", "conductances", "masses", "phi")
+    return all(_same_bits(getattr(got, name), getattr(want, name)) for name in names)
+
+
+@pytest.mark.parametrize("n, radius", [(8, 1.0), (1000, 2.0), (64, 1e-3)])
+def test_circle_is_the_hand_built_ring(n, radius):
+    angle = 2.0 * math.pi * np.arange(n) / n
+    vertices = np.column_stack([radius * np.cos(angle), radius * np.sin(angle), np.zeros(n)])
+    want = _hand_built_ring(vertices, 2.0 * math.pi * radius / n)
+    assert _same_complex(build_weighted_circle(n, radius=radius), want)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: shrinkers.circle_shrinker(2.0, 64),
+        lambda: shrinkers.find_abresch_langer(1.0, 2, 3, n_points=512),
+    ],
+    ids=["circle", "rosette-2-3"],
+)
+def test_curve_complex_is_the_weighted_hand_built_ring(build):
+    curve = build()
+    vertices = np.column_stack([curve.points, np.zeros(curve.n_points)])
+    ring = _hand_built_ring(vertices, curve.h)
+    want = apply_weight(ring, shrinkers.potential_phi(curve))
+    assert _same_complex(shrinkers.curve_complex(curve), want)
 
 
 def test_icosphere_combinatorics():

@@ -185,7 +185,7 @@ def test_direct_half_path_gives_the_pencil_solve_bits(bc, m, K):
     # without the pencil or its symmetry scan: the same arrays, the same bits
     problem = OUProblem(K=K, d=2.5, m=m, bc=bc)
     pen = discretize_ou(problem)
-    conductances, mass = sturm._ou_profile(problem, m // 2)
+    conductances, mass = sturm._ou_profile(problem, sturm._ou_weight(problem, 2 * (m // 2)))
     assert np.array_equal(conductances, pen.conductances[: m // 2])
     assert np.array_equal(mass, pen.mass[: m // 2])
     assert raw_lambda1(K, 2.5, m, bc) == lowest_eigenvalue(pen)
@@ -201,6 +201,36 @@ def test_direct_half_path_bits_at_the_guards(bc, m, sign):
         K = sign * EXPONENT_GUARD * 8.0 / d**2 * (1.0 - 1e-12)
         pen = discretize_ou(OUProblem(K=K, d=d, m=m, bc=bc))
         assert raw_lambda1(K, d, m, bc) == lowest_eigenvalue(pen)
+
+
+def _two_grid_profile(problem, count=None):
+    # the profile from two staggered grids, each weighted by its own call;
+    # the half-spaced grid must reproduce it bit for bit
+    K, d, m = problem.K, problem.d, problem.m
+    h = d / m
+    n_centres, n_faces = (m, m - 1) if count is None else (count, count)
+    centres = (np.arange(n_centres) - 0.5 * (m - 1)) * h
+    faces = (np.arange(1, n_faces + 1) - 0.5 * m) * h
+    links, nodes = (faces, centres) if problem.bc == NEUMANN else (centres, faces)
+    return sturm._weight(K, d, links) / h, sturm._weight(K, d, nodes) * h
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("m", [8, 9, 2000, 2001])
+@pytest.mark.parametrize("K", [-10.0, 0.0, 3.0])
+@pytest.mark.parametrize("d", [0.1, 20.0])
+def test_half_spaced_grid_gives_the_two_grid_profile_bits(bc, m, K, d):
+    problem = OUProblem(K=K, d=d, m=m, bc=bc)
+    pen = discretize_ou(problem)
+    whole = _two_grid_profile(problem)
+    assert _same_bits(pen.conductances, whole[0]) and _same_bits(pen.mass, whole[1])
+    half = sturm._ou_profile(problem, sturm._ou_weight(problem, 2 * (m // 2)))
+    reference = _two_grid_profile(problem, m // 2)
+    assert _same_bits(half[0], reference[0]) and _same_bits(half[1], reference[1])
 
 
 def test_prolongation_layout():
@@ -250,6 +280,31 @@ def test_warm_started_fine_solve_agrees_with_a_cold_one(monkeypatch, solve, m):
     cold = np.array([solve(K, d, m) for K, d in points])
     assert np.all(np.abs(warm - cold) <= 1e-13 * np.abs(cold))
     assert warm_steps < steps[0]
+
+
+def _two_weight_richardson(K, d, m, bc):
+    # the Richardson pair with each solve weighting its own grid
+    coarse, fine = (OUProblem(K=K, d=d, m=n, bc=bc) for n in (m, 2 * m))
+    lam_m, v = sturm._half_path(*_two_grid_profile(coarse, m // 2), bc, m % 2 == 0)
+    start = sturm._prolong(v, m)
+    lam_2m = sturm._half_path(*_two_grid_profile(fine, m), bc, True, start)[0]
+    return (4.0 * lam_2m - lam_m) / 3.0
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("m", [2000, 2001])
+def test_richardson_pair_on_one_weight_gives_the_two_weight_bits(bc, m):
+    for K, d in _box_subsample():
+        assert sturm._richardson_lambda1(K, d, m, bc) == _two_weight_richardson(K, d, m, bc)
+
+
+def test_richardson_pair_evaluates_the_weight_once(monkeypatch):
+    # on the first 2m points of the 2m grid, which hold the m solve's half too
+    sizes = []
+    weight = sturm._weight
+    monkeypatch.setattr(sturm, "_weight", lambda K, d, x: sizes.append(x.size) or weight(K, d, x))
+    neumann_lambda1(1.0, 2.0, m=2001)
+    assert sizes == [4002]
 
 
 def _tridiagonal_oracle(pen):
