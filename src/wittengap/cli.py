@@ -50,7 +50,15 @@ from wittengap.bounds import (
     sup_bound_closed,
     sup_bound_grid,
 )
-from wittengap.report import SCHEMA_VERSION, VerificationReport, canonical_json, make_report
+from wittengap.report import (
+    SCHEMA_VERSION,
+    VerificationReport,
+    canonical_json,
+    equal,
+    lower,
+    make_report,
+    upper,
+)
 from wittengap.shrinkers import (
     ShrinkerCurve,
     assemble_rosette,
@@ -240,15 +248,10 @@ def case_closed_vs_grid(sweep: GridSweep) -> VerificationReport:
             "branch_mid_high_defect": worst_mid_high,
         },
         bounds={},
-        margins={
-            "closed_vs_grid": -worst_rel,
-            "branch_low_mid": -worst_low_mid,
-            "branch_mid_high": -worst_mid_high,
-        },
-        tolerances={
-            "closed_vs_grid": TOL_GRID_REL,
-            "branch_low_mid": TOL_BRANCH,
-            "branch_mid_high": TOL_BRANCH,
+        gates={
+            "closed_vs_grid": upper(worst_rel, tol=TOL_GRID_REL),
+            "branch_low_mid": upper(worst_low_mid, tol=TOL_BRANCH),
+            "branch_mid_high": upper(worst_mid_high, tol=TOL_BRANCH),
         },
         notes=[
             "grid supremum over the interior s-grid never exceeds the closed form",
@@ -288,17 +291,11 @@ def case_soliton_constants() -> VerificationReport:
             "d_bound_fixed": bounds1.futaki_sano,
         },
         bounds={"g_max": opt.g_max, "s_star": opt.s_star},
-        margins={
-            "ordering_sup_vs_half": c_sup - c_half,
-            "ordering_half_vs_fixed": c_half - c_fixed,
-            "g_max_grid_defect": -abs(g_max_grid - opt.g_max),
-            "s_star_grid_defect": -abs(s_star_grid - opt.s_star),
-        },
-        tolerances={
-            "ordering_sup_vs_half": 0.0,
-            "ordering_half_vs_fixed": 0.0,
-            "g_max_grid_defect": TOL_CONSTANTS,
-            "s_star_grid_defect": 1e-5,
+        gates={
+            "ordering_sup_vs_half": lower(c_sup, c_half),
+            "ordering_half_vs_fixed": lower(c_half, c_fixed),
+            "g_max_grid_defect": equal(g_max_grid, opt.g_max, TOL_CONSTANTS),
+            "s_star_grid_defect": equal(s_star_grid, opt.s_star, 1e-5),
         },
         notes=[
             "constants are per 1/sqrt(lam); multiply by pi for the diameter bounds",
@@ -362,21 +359,13 @@ def case_comparison_grid(m: int) -> VerificationReport:
             "flat_equality_worst_rel": eq_worst,
         },
         bounds={},
-        margins={
-            "exactness_flat": -exact_worst,
-            "convergence_ratio_low": ratio_min - 3.5,
-            "convergence_ratio_high": 4.5 - ratio_max,
-            "neumann_dirichlet_shift": -shift_worst,
-            "comparison_inequality": compare_min,
-            "equality_at_flat": -eq_worst,
-        },
-        tolerances={
-            "exactness_flat": TOL_OU_EXACT_REL,
-            "convergence_ratio_low": 0.0,
-            "convergence_ratio_high": 0.0,
-            "neumann_dirichlet_shift": TOL_SHIFT_REL,
-            "comparison_inequality": TOL_COMPARE_REL,
-            "equality_at_flat": TOL_COMPARE_REL,
+        gates={
+            "exactness_flat": upper(exact_worst, tol=TOL_OU_EXACT_REL),
+            "convergence_ratio_low": lower(ratio_min, 3.5),
+            "convergence_ratio_high": upper(ratio_max, 4.5),
+            "neumann_dirichlet_shift": upper(shift_worst, tol=TOL_SHIFT_REL),
+            "comparison_inequality": lower(compare_min, tol=TOL_COMPARE_REL),
+            "equality_at_flat": upper(eq_worst, tol=TOL_COMPARE_REL),
         },
         notes=[
             "convergence ratios from raw eigenvalues at m = 250, 500, 1000",
@@ -414,10 +403,9 @@ def case_circle_spectrum(
             "multiplicity_gap": float(res.multiplicity_gap),
         },
         bounds={"inverse_r2": target, "pi2_over_d2": math.pi**2 / d_exact**2},
-        margins={"lambda1_vs_curvature": -rel_curv, "flat_interval_equality": -rel_flat},
-        tolerances={
-            "lambda1_vs_curvature": TOL_CIRCLE_REL,
-            "flat_interval_equality": TOL_CIRCLE_REL,
+        gates={
+            "lambda1_vs_curvature": upper(rel_curv, tol=TOL_CIRCLE_REL),
+            "flat_interval_equality": upper(rel_flat, tol=TOL_CIRCLE_REL),
         },
         notes=["flat-interval target pi^2/d^2 with d = pi r equals 1/r^2 exactly"],
     )
@@ -439,11 +427,10 @@ def case_sphere_round(
             "multiplicity_gap": float(res.multiplicity_gap),
         },
         bounds={"continuum_lambda1": 2.0, "continuum_multiplicity": 3.0},
-        margins={
-            "lambda1_vs_two": -rel,
-            "cluster_multiplicity": -abs(res.cluster_size - 3.0),
+        gates={
+            "lambda1_vs_two": upper(rel, tol=TOL_SPHERE),
+            "cluster_multiplicity": equal(res.cluster_size, 3.0),
         },
-        tolerances={"lambda1_vs_two": TOL_SPHERE, "cluster_multiplicity": 0.0},
         notes=["first sphere eigenvalue is 2 with the three coordinate eigenfunctions"],
     )
 
@@ -482,8 +469,9 @@ def case_sphere_height(
             "futaki_sano": futaki_sano_bound(inp),
             "andrews_ni": andrews_ni_bound(inp),
         },
-        margins={"gap_vs_sup_closed": res.lambda1 - bound},
-        tolerances={"gap_vs_sup_closed": TOL_SPHERE * max(1.0, res.lambda1)},
+        gates={
+            "gap_vs_sup_closed": lower(res.lambda1, bound, TOL_SPHERE * max(1.0, res.lambda1))
+        },
         notes=[
             "K = 1 - |a| from Hess(z) = -z g on the unit sphere; diameter pi is exact",
             f"icosphere with {weighted.n_vertices} vertices, cotangent weights",
@@ -518,8 +506,7 @@ def case_weight_shift() -> VerificationReport:
         },
         computed={"lambda1": lam_base},
         bounds={},
-        margins={k: -v for k, v in rels.items()},
-        tolerances={k: TOL_WEIGHT_SHIFT_REL for k in rels},
+        gates={k: upper(v, tol=TOL_WEIGHT_SHIFT_REL) for k, v in rels.items()},
         notes=["all three runs share the same deterministic shift-invert solver"],
     )
 
@@ -546,12 +533,11 @@ def case_circle_shrinker(curve: ShrinkerCurve) -> VerificationReport:
             "d": kd.d,
         },
         bounds={"radius": r_exact},
-        margins={
-            "radius": -radius_defect,
-            "residual": -residual,
-            "phi_sup": -phi_sup,
+        gates={
+            "radius": upper(radius_defect, tol=1e-10),
+            "residual": upper(residual, tol=1e-12),
+            "phi_sup": upper(phi_sup, tol=1e-14),
         },
-        tolerances={"radius": 1e-10, "residual": 1e-12, "phi_sup": 1e-14},
         notes=[
             "weight is trivial (phi = 0); the diameter certificate is exercised by the rosette case"
         ],
@@ -598,32 +584,22 @@ def case_rosette(points: int, curve: ShrinkerCurve) -> VerificationReport:
             "refinement_ratio": ratio,
         },
         bounds={"bound_half": bound_half, "bound_sup": bound_sup},
-        margins={
-            "closure": -curve.closure_residual,
-            "first_integral": -drift,
-            "mean_curvature_identity": -mc,
-            "eigen_identity": -res_fine,
-            "refinement_ratio_low": ratio - 8.0,
-            "refinement_ratio_high": 32.0 - ratio,
-            "d_vs_bound_half": (kd.d - bound_half) * root,
-            "d_vs_bound_sup": (kd.d - bound_sup) * root,
-        },
-        tolerances={
-            "closure": TOL_ROSETTE_CLOSURE,
-            "first_integral": TOL_FIRST_INTEGRAL,
-            "mean_curvature_identity": TOL_MC_IDENTITY,
-            "eigen_identity": TOL_EIGEN_IDENTITY,
-            "refinement_ratio_low": 0.0,
-            "refinement_ratio_high": 0.0,
-            "d_vs_bound_half": TOL_SHRINKER_DIAMETER,
-            "d_vs_bound_sup": TOL_SHRINKER_DIAMETER,
+        gates={
+            "closure": upper(curve.closure_residual, tol=TOL_ROSETTE_CLOSURE),
+            "first_integral": upper(drift, tol=TOL_FIRST_INTEGRAL),
+            "mean_curvature_identity": upper(mc, tol=TOL_MC_IDENTITY),
+            "eigen_identity": upper(res_fine, tol=TOL_EIGEN_IDENTITY),
+            "refinement_ratio_low": lower(ratio, 8.0),
+            "refinement_ratio_high": upper(ratio, 32.0),
+            "d_vs_bound_half": lower((kd.d - bound_half) * root, tol=TOL_SHRINKER_DIAMETER),
+            "d_vs_bound_sup": lower((kd.d - bound_sup) * root, tol=TOL_SHRINKER_DIAMETER),
         },
         notes=[
             "refinement ratio compares eigen-identity residuals at quarter and full node counts;"
             " second order predicts 16",
             "orientation: T = (cos th, sin th), N = (sin th, -cos th), k = dth/ds; "
             "the circle solution has k = lam |x| > 0",
-            f"curve residual {curve.residual():.3e}",
+            f"curve residual {curve.residual() / root:.3e}",
         ],
     )
 
@@ -642,8 +618,7 @@ def case_gaussian() -> VerificationReport:
         },
         computed={"fd_worst": worst_fd},
         bounds={},
-        margins={"fd_identity": -worst_fd},
-        tolerances={"fd_identity": TOL_FD_RESIDUAL},
+        gates={"fd_identity": upper(worst_fd, tol=TOL_FD_RESIDUAL)},
     )
 
 
@@ -844,8 +819,7 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     for rep in reports:
         with open(os.path.join(args.out, rep.case_id + ".json"), "w") as fh:
             fh.write(rep.to_json())
-        slack = min(rep.margins[k] + rep.tolerances[k] for k in rep.margins)
-        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.case_id} slack {slack:+.3e}")
+        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.case_id} slack {rep.slack:+.3e}")
     n_pass = sum(1 for r in reports if r.passed)
     summary = {
         "schema": SCHEMA_VERSION,
@@ -925,6 +899,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_all.add_argument("--out", default="reports", help="report directory (default: reports)")
     p_all.set_defaults(func=cmd_verify_all)
 
+    # argparse reads a "-" token as a negative number, not an option, only
+    # if it matches this pattern; its own takes -1 and -1.5 but not -1e-05
+    # or -inf.  A token that names an option is matched before it is tried.
+    import re
+
+    negative_number = re.compile(r"^-\.?\d|^-(inf|nan)", re.IGNORECASE)
+    for p in sub.choices.values():
+        p._negative_number_matcher = negative_number
     return parser
 
 

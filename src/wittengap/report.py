@@ -1,9 +1,12 @@
 """Machine-readable verification reports.
 
-Every check in this package reduces to a handful of margins: a computed
-quantity minus the bound it has to dominate.  A report records the inputs,
-the computed quantities, the bound values, the margins, and one pass flag.
-The flag is true iff every margin clears its stated tolerance, i.e.
+Every check in this package reduces to a handful of gates, each declared
+once by its kind: ``lower`` (a value must reach a limit), ``upper`` (a
+value must stay under a limit) or ``equal`` (a value must meet a target).
+Each kind gives the gate's margin, signed so that a negative margin is a
+miss, and its tolerance.  A report records the inputs, the computed
+quantities, the bound values, the margins and tolerances, and one pass
+flag, true iff every margin clears its tolerance, i.e.
 margin >= -tolerance.  Reports serialize to JSON with sorted keys and no
 timestamps, so repeated runs are byte-identical.
 """
@@ -35,6 +38,12 @@ class VerificationReport:
     passed: bool
     notes: list[str] = field(default_factory=list)
 
+    @property
+    def slack(self) -> float:
+        """The smallest margin + tolerance: how close the nearest gate came
+        to failing."""
+        return min(self.margins[k] + self.tolerances[k] for k in self.margins)
+
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
@@ -64,20 +73,35 @@ def canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def lower(value: float, limit: float = 0.0, tol: float = 0.0) -> tuple[float, float]:
+    """Gate ``value >= limit - tol``: margin ``value - limit``."""
+    return value - limit, tol
+
+
+def upper(value: float, limit: float = 0.0, tol: float = 0.0) -> tuple[float, float]:
+    """Gate ``value <= limit + tol``: margin ``-(value - limit)``, the
+    negated defect exactly, so ``upper(0.0)`` is ``-0.0``."""
+    return -(value - limit), tol
+
+
+def equal(value: float, target: float, tol: float = 0.0) -> tuple[float, float]:
+    """Gate ``|value - target| <= tol``: margin ``-|value - target|``."""
+    return -abs(value - target), tol
+
+
 def make_report(
     case_id: str,
     inputs: dict[str, float],
     computed: dict[str, float],
     bounds: dict[str, float],
-    margins: dict[str, float],
-    tolerances: dict[str, float],
+    gates: dict[str, tuple[float, float]],
     notes: list[str] | None = None,
 ) -> VerificationReport:
-    """Build a report, deriving the pass flag from margins vs tolerances."""
-    if set(margins) != set(tolerances):
-        raise ValueError(
-            f"margins and tolerances must share keys, got {sorted(margins)} vs {sorted(tolerances)}"
-        )
+    """Build a report from ``gates``, each a ``(margin, tolerance)`` pair
+    from :func:`lower`, :func:`upper` or :func:`equal`, deriving the pass
+    flag from margins vs tolerances."""
+    margins = {name: margin for name, (margin, _) in gates.items()}
+    tolerances = {name: tol for name, (_, tol) in gates.items()}
     for name, value in margins.items():
         if not math.isfinite(value):
             raise ValueError(f"margin {name!r} is not finite: {value}")

@@ -225,7 +225,7 @@ def apply_weight(complex_: WeightedComplex, phi_values: np.ndarray) -> WeightedC
         raise ValueError("phi_values must be finite")
     if np.abs(phi_values).max(initial=0.0) > EXPONENT_GUARD:
         raise MeasureUnderflowError(
-            f"max |phi| = {np.abs(phi_values).max():.1f} exceeds {EXPONENT_GUARD:.0f}; "
+            f"max |phi| = {np.abs(phi_values).max():.4g} exceeds {EXPONENT_GUARD:.0f}; "
             "the weight exp(-phi) is not representable in float64"
         )
     i, j = complex_.edges[:, 0], complex_.edges[:, 1]

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundInput, andrews_ni_bound, futaki_sano_bound, sup_bound_closed
-from .report import VerificationReport, make_report
+from .report import VerificationReport, lower, make_report
 
 __all__ = [
     "MeasureUnderflowError",
@@ -186,7 +186,7 @@ class OUProblem:
         exponent = abs(self.K) * (half * half) / 2.0
         if exponent > EXPONENT_GUARD:
             raise MeasureUnderflowError(
-                f"|K| (d/2)^2 / 2 = {exponent:.1f} exceeds {EXPONENT_GUARD:.0f}; "
+                f"|K| (d/2)^2 / 2 = {exponent:.4g} exceeds {EXPONENT_GUARD:.0f}; "
                 "the invariant weight is not representable in float64"
             )
 
@@ -569,7 +569,6 @@ def verify_comparison(K: float, d: float, m: int = 2000) -> VerificationReport:
             "futaki_sano": futaki_sano_bound(inp),
             "andrews_ni": andrews_ni_bound(inp),
         },
-        margins={"gap_vs_sup_closed": lam1 - bound},
-        tolerances={"gap_vs_sup_closed": tol},
+        gates={"gap_vs_sup_closed": lower(lam1, bound, tol)},
         notes=notes,
     )

@@ -431,6 +431,36 @@ def test_shrinker_rosette_export_reuses_the_shooting(capsys, tmp_path, rosette_w
     assert counts["integrations"] == 2
 
 
+def solves_or_is_refused(argv, flag, value):
+    """Runs ``main`` in-process with ``flag`` set to ``value``, once as
+    ``flag=<repr>`` and once as a separate token; both must print the same
+    and end with a JSON object (a passing one if it is a report) or exit 1
+    with one error line, with no traceback and no RuntimeWarning."""
+    runs = []
+    for tokens in ([f"{flag}={value!r}"], [flag, repr(value)]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main([*argv, *tokens])
+                except SystemExit as exc:
+                    rc = exc.code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        runs.append((rc, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    rc, out, err = runs[0]
+    assert "Traceback" not in out + err
+    if rc == 0:
+        obj = json.loads(out)
+        assert isinstance(obj, dict) and obj.get("pass", True) is True
+        assert err == ""
+    else:
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("mode", [["--circle"], ["--al", "2", "3"]])
 @given(lam=st.floats())
 @example(lam=2000.0)
@@ -440,26 +470,65 @@ def test_shrinker_rosette_export_reuses_the_shooting(capsys, tmp_path, rosette_w
 @example(lam=1e-320)
 @example(lam=math.nan)
 @example(lam=-math.inf)
+@example(lam=-1e-05)
 @example(lam=0.0)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_shrinker_lambda_certifies_or_is_refused_by_name(mode, lam):
-    # every float argparse accepts, at the default resolutions: a passing
-    # report, or exit 1 with one error line; no traceback, no RuntimeWarning
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["shrinker", *mode, f"--lambda={lam!r}"])
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    out, err = out.getvalue(), err.getvalue()
-    assert "Traceback" not in out + err
-    if rc == 0:
-        assert json.loads(out)["pass"] is True
-        assert err == ""
+    # every float, at the default resolutions
+    solves_or_is_refused(["shrinker", *mode], "--lambda", lam)
+
+
+# the other float flags, each beside fixed valid flags; --grid-size and
+# --subdivisions keep a draw cheap
+FLOAT_FLAG_RUNS = {
+    "bounds-K": (["bounds", "--d", "1", "--grid-size", "100"], "--K"),
+    "bounds-d": (["bounds", "--K", "1", "--grid-size", "100"], "--d"),
+    "bounds-soliton-lambda": (["bounds", "--soliton"], "--lambda"),
+    "ou-K": (["ou", "--d", "1"], "--K"),
+    "ou-d": (["ou", "--K", "1"], "--d"),
+    "ou-verify-K": (["ou", "--verify", "--d", "1"], "--K"),
+    "ou-verify-d": (["ou", "--verify", "--K", "1"], "--d"),
+    "spectral-radius": (["spectral", "--case", "circle"], "--radius"),
+    "spectral-a": (["spectral", "--case", "sphere-height", "--subdivisions", "2"], "--a"),
+}
+
+
+@pytest.mark.parametrize("run", FLOAT_FLAG_RUNS.values(), ids=FLOAT_FLAG_RUNS.keys())
+@given(value=st.floats())
+@example(value=-1e-05)
+@example(value=-math.inf)
+@example(value=math.inf)
+@example(value=math.nan)
+@example(value=-0.0)
+@example(value=1e300)
+@example(value=5e-324)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_float_flag_solves_or_is_refused_by_name(run, value):
+    solves_or_is_refused(*run, value)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "--K", "-1e-05", "--d", "1"), None),
+        (("shrinker", "--circle", "--lambda", "-1e-05"), "error: lam must be positive"),
+        (("ou", "--K", "-inf", "--d", "1"), "error: drift coefficient K must be finite"),
+    ],
+)
+def test_negative_float_in_exponent_form_reaches_validation(capsys, argv, message):
+    # argparse's own pattern reads only -1 and -1.5 as numbers, not -1e-05 or -inf
+    rc, out, err = run_cli(capsys, *argv)
+    if message is None:
+        assert rc == 0 and json.loads(out)["K"] == -1e-05
     else:
-        assert rc == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert rc == 1 and out == ""
+        assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+def test_ou_guard_message_prints_the_exponent_in_four_digits(capsys):
+    rc, out, err = run_cli(capsys, "ou", "--K", "1e300", "--d", "1")
+    assert rc == 1 and out == ""
+    assert "= 1.25e+299 exceeds" in err and len(err) < 160
 
 
 @pytest.mark.parametrize("p, q", [("1", "0"), ("-2", "-3")])

@@ -217,10 +217,15 @@ def test_arc_matches_the_rk4_shooting():
 def test_rosette_margins_do_not_depend_on_scale(rosette23, lam):
     # every gate is dimensionless: the curve at lam is the lam = 1 curve
     # scaled, so each margin moves at round-off only
-    unit = case_rosette(4096, rosette23).margins
-    scaled = case_rosette(4096, find_abresch_langer(lam, 2, 3)).margins
-    for name, margin in unit.items():
-        assert scaled[name] == pytest.approx(margin, rel=1e-4, abs=1e-11), name
+    unit = case_rosette(4096, rosette23)
+    scaled = case_rosette(4096, find_abresch_langer(lam, 2, 3))
+    for name, margin in unit.margins.items():
+        assert scaled.margins[name] == pytest.approx(margin, rel=1e-4, abs=1e-11), name
+    # so is the curve-residual note; it is itself a few eps, so its scaled
+    # value moves in the leading digits (1.998e-15 at lam = 1, 1.899e-15 at 1e-300)
+    assert unit.notes[-1] == "curve residual 1.998e-15"
+    residual = float(scaled.notes[-1].removeprefix("curve residual "))
+    assert residual == pytest.approx(1.998e-15, rel=0.1, abs=0.0)
 
 
 @pytest.mark.parametrize("n_points, lam", [(1000, 1e-320), (1000, 1e303), (16, 1e307)])
