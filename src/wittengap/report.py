@@ -17,6 +17,16 @@ import json
 import math
 from dataclasses import dataclass, field
 
+__all__ = [
+    "SCHEMA_VERSION",
+    "VerificationReport",
+    "canonical_json",
+    "lower",
+    "upper",
+    "equal",
+    "make_report",
+]
+
 SCHEMA_VERSION = 1
 
 

@@ -223,9 +223,10 @@ def apply_weight(complex_: WeightedComplex, phi_values: np.ndarray) -> WeightedC
         raise ValueError("phi_values must have one entry per vertex")
     if not np.isfinite(phi_values).all():
         raise ValueError("phi_values must be finite")
-    if np.abs(phi_values).max(initial=0.0) > EXPONENT_GUARD:
+    peak = float(np.abs(phi_values).max(initial=0.0))
+    if peak > EXPONENT_GUARD:
         raise MeasureUnderflowError(
-            f"max |phi| = {np.abs(phi_values).max():.4g} exceeds {EXPONENT_GUARD:.0f}; "
+            f"max |phi| = {peak!r} exceeds {EXPONENT_GUARD:.0f}; "
             "the weight exp(-phi) is not representable in float64"
         )
     i, j = complex_.edges[:, 0], complex_.edges[:, 1]

@@ -186,7 +186,7 @@ class OUProblem:
         exponent = abs(self.K) * (half * half) / 2.0
         if exponent > EXPONENT_GUARD:
             raise MeasureUnderflowError(
-                f"|K| (d/2)^2 / 2 = {exponent:.4g} exceeds {EXPONENT_GUARD:.0f}; "
+                f"|K| (d/2)^2 / 2 = {float(exponent)!r} exceeds {EXPONENT_GUARD:.0f}; "
                 "the invariant weight is not representable in float64"
             )
 

@@ -723,6 +723,37 @@ def test_suite_grid_equals_one_serial_sweep(monkeypatch, cpus):
     assert grids.tobytes() == _sweep_columns(Ks, ds, TINY["SUP_GRID_SIZE"]).tobytes()
 
 
+EPS = np.finfo(float).eps
+
+
+def rounding_scale(K, d, closed):
+    """max(|closed|, pi^2/d^2 + |K|): the largest term that the grid value
+    and the closed form are rounded against."""
+    return max(abs(closed), math.pi**2 / d**2 + abs(K))
+
+
+def grid_excess(rows):
+    """(grid - closed) / (eps scale) for each sweep row."""
+    return np.array(
+        [(grid - closed) / (EPS * rounding_scale(K, d, closed)) for K, d, closed, grid, _ in rows]
+    )
+
+
+def test_grid_maximum_exceeds_the_closed_form_by_rounding_at_most():
+    # the abs_diff column hides a grid maximum above its closed form; 8 eps
+    # covers the roundings of the grid value and of the closed form
+    with cli.start_closed_vs_grid(TINY["SUP_GRID_SIZE"]) as sweep:
+        rows = cli.sweep_closed_vs_grid(sweep)
+    assert len(rows) == cli.N_K * cli.N_D == 2500
+    excess = grid_excess(rows)
+    assert excess.max() <= 8.0
+    # negative control: one grid maximum raised by 64 eps scale is caught
+    worst = int(excess.argmax())
+    K, d, closed, grid, diff = rows[worst]
+    rows[worst] = (K, d, closed, grid + 64.0 * EPS * rounding_scale(K, d, closed), diff)
+    assert grid_excess(rows).max() > 8.0
+
+
 _COLUMN_LOG = None
 
 

@@ -533,6 +533,14 @@ def test_measure_guard_on_weights():
         apply_weight(base, np.full(32, math.nan))
 
 
+def test_measure_guard_message_prints_the_value_that_tripped_it():
+    # four significant digits would print 700.01 as the guard's own 700
+    phi = np.zeros(32)
+    phi[5] = -700.01
+    with pytest.raises(MeasureUnderflowError, match=r"max \|phi\| = 700\.01 exceeds 700;"):
+        apply_weight(build_weighted_circle(32), phi)
+
+
 def test_complex_validation():
     with pytest.raises(ValueError):
         WeightedComplex(

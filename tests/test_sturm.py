@@ -568,6 +568,13 @@ def test_measure_underflow_guard():
         OUProblem(K=2000.0, d=10.0, m=100)
 
 
+@pytest.mark.parametrize("K", [1400.02, np.float64(1400.02)])
+def test_measure_underflow_message_prints_the_exponent_that_tripped_it(K):
+    # four significant digits would print 700.01 as the guard's own 700
+    with pytest.raises(MeasureUnderflowError, match=r"= 700\.01 exceeds 700;"):
+        OUProblem(K=K, d=2.0)
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_weight_range_up_to_the_guard_solves(sign):
     # |K| (d/2)^2 / 2 = 698.6 with h = d / 4000 on the fine mesh: unless
