@@ -6,15 +6,9 @@ L = Delta - grad(phi) . grad satisfies, for every s in (0, 1),
 
     lambda_1  >=  4 s (1 - s) pi^2 / d^2  +  s K.                    (*)
 
-``sup_bound_grid_sweep`` maximizes (*) over a dense uniform s-grid for
-every pair of a K list and a d list in one pass over the grid, and
-``sup_bound_grid`` is its one-pair call.  It is the one grid oracle, kept
-independent of the closed form: it evaluates every grid point for every
-pair, with no vertex or concavity shortcut, and keeps no grid between
-calls.  ``GridSweep`` is the same sweep split so that its caller can work
-in between: it starts forked workers on the ``d`` columns, and
-``finish()`` collects them, bit for bit as in one process; one usable
-CPU forks nothing.
+``GridSweep`` maximizes (*) over a dense uniform s-grid for every pair of
+a K list and a d list: the one grid oracle, kept independent of the
+closed form.
 ``sup_bound_closed`` is the closed form of the same supremum:
 
     0                          if K d^2  <  -4 pi^2
@@ -52,8 +46,6 @@ __all__ = [
     "OptimalS",
     "SolitonDiameterBounds",
     "gap_expression",
-    "sup_bound_grid",
-    "sup_bound_grid_sweep",
     "sup_bound_closed",
     "sup_bound_branch",
     "futaki_sano_bound",
@@ -118,6 +110,13 @@ class ShrinkerBoundInput:
             raise ValueError(f"curvature maximum K0 must be nonnegative, got {self.K0!r}")
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer; a bool is refused too, and a
+    numpy integer passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _numerator(s):
     """The (K, d)-free part 4 s (1 - s) pi^2 of the gap expression."""
     return 4.0 * s * (1.0 - s) * math.pi**2
@@ -126,17 +125,6 @@ def _numerator(s):
 def gap_expression(s, K: float, d: float):
     """One-parameter gap bound 4 s (1 - s) pi^2 / d^2 + s K, vectorized in s."""
     return _numerator(s) / d**2 + s * K
-
-
-def sup_bound_grid(inp: BoundInput, grid_size: int = 10**6) -> float:
-    """Maximize the gap expression over a uniform interior s-grid.
-
-    The one-pair call of ``sup_bound_grid_sweep``, the one dense grid
-    oracle: every grid point is evaluated, with no vertex or concavity
-    shortcut, and 0 is a candidate.  The grid and the rounding are
-    documented there.
-    """
-    return float(sup_bound_grid_sweep([inp.K], [inp.d], grid_size)[0, 0])
 
 
 def _block_max(values: np.ndarray) -> float:
@@ -159,7 +147,7 @@ def _grid_blocks(grid_size: int):
 
 
 def _sweep_columns(Ks: list[float], ds: list[float], grid_size: int) -> np.ndarray:
-    """The block loop of ``sup_bound_grid_sweep`` over validated ``Ks`` and ``ds``."""
+    """The block loop of ``GridSweep`` over validated ``Ks`` and ``ds``."""
     best = np.zeros((len(Ks), len(ds)))
     scaled = np.empty(min(_BLOCK, grid_size))
     values = np.empty_like(scaled)
@@ -180,57 +168,35 @@ def _sweep_columns(Ks: list[float], ds: list[float], grid_size: int) -> np.ndarr
     return best
 
 
-def sup_bound_grid_sweep(Ks, ds, grid_size: int = 10**6) -> np.ndarray:
+class GridSweep:
     """Grid maxima of the gap expression for every pair of ``Ks`` x ``ds``.
 
-    Returns ``best`` of shape ``(len(Ks), len(ds))`` with ``best[i, j]``
-    the maximum over the uniform interior grid {n/(grid_size+1)} of the
-    expression at ``(Ks[i], ds[j])``.  The supremum is taken over the open
-    interval (0, 1).  Its value is never below the s -> 0 limit of the
-    expression, which is 0, so 0 is included as a candidate; this keeps
-    the evaluator a lower bound for the true supremum even where the
-    expression is negative on the whole interior.  A dense maximum over
-    every grid point of every pair, kept as the independent oracle for
-    ``sup_bound_closed``.
+    ``finish()`` returns ``best`` of shape ``(len(Ks), len(ds))``, with
+    ``best[i, j]`` the maximum at ``(Ks[i], ds[j])`` over the uniform
+    interior grid {n/(grid_size+1)} and 0.  The supremum over (0, 1) is
+    never below the s -> 0 limit 0, so 0 is a candidate and the oracle
+    stays a lower bound even where the expression is negative on the whole
+    interior.  Every grid point of every pair is evaluated, with no vertex
+    or concavity shortcut, and every entry equals the maximum of
+    ``gap_expression`` over the grid bit for bit.  The grid is walked in
+    cache-sized blocks through three reused buffers, with ``s`` rebuilt
+    from exact integers per block, and no grid is kept between sweeps.
 
-    The grid is walked in cache-sized blocks through three reused buffers,
-    and no grid is kept between calls: per block ``s`` is rebuilt from
-    exact integers, per d ``q / d^2`` with ``q = _numerator(s)`` is formed
-    from that block's ``s``, and per K the block of ``q / d^2 + s K`` is
-    formed and its maximum folded into ``best``.  Each value is formed as
-    ``gap_expression`` forms it, so every entry equals the maximum of
-    ``gap_expression`` over the grid bit for bit.  Each pair is validated
-    as a ``BoundInput``.
-
-    This is ``GridSweep`` started and finished at once: forked workers
-    sweep the ``d`` columns, and a worker's exception is raised here with
-    no partial ``best`` returned.
-    """
-    return GridSweep(Ks, ds, grid_size).finish()
-
-
-class GridSweep:
-    """``sup_bound_grid_sweep`` started now and finished by ``finish()``.
-
-    Creating a ``GridSweep`` validates every pair, forks ``min(cpus,
-    len(ds))`` workers (``cpus`` from ``os.sched_getaffinity``) at niceness
-    19 and submits one ``_sweep_columns(Ks, [d], grid_size)`` per ``d``
-    column.  A column's entries depend on no other column, so every entry
-    keeps its bits whichever process sweeps it.  Meanwhile the caller may
-    do other work, ahead of the niced workers; ``finish()`` collects the
-    columns in order and returns ``best``.  With one usable CPU or one
-    ``d`` nothing is forked and ``finish()`` sweeps every column in the
-    calling process.
-
-    A worker's exception is raised by ``finish()``.  ``finish()``,
-    ``close()`` and leaving a ``with`` block shut the workers down without
-    waiting for the columns still queued; only the columns already running
-    are waited for.
+    Creating a ``GridSweep`` validates every pair as a ``BoundInput``,
+    forks ``min(cpus, len(ds))`` workers (``cpus`` from
+    ``os.sched_getaffinity``) at niceness 19, and submits one
+    ``_sweep_columns(Ks, [d], grid_size)`` per ``d`` column; a column
+    depends on no other, so its entries keep their bits in any process.
+    The caller may work meanwhile, ahead of the niced workers, until
+    ``finish()`` collects the columns in order.  With one usable CPU or one
+    ``d`` nothing is forked and ``finish()`` sweeps here.  ``finish()``
+    raises a worker's exception, with no partial ``best``; it, ``close()``
+    and leaving a ``with`` block drop the queued columns and wait only for
+    the running ones.
     """
 
     def __init__(self, Ks, ds, grid_size: int = 10**6) -> None:
-        if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)):
-            raise ValueError(f"grid_size must be an integer, got {grid_size!r}")
+        _check_count("grid_size", grid_size)
         if grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {grid_size}")
         self.Ks = [float(K) for K in Ks]

@@ -48,7 +48,6 @@ from wittengap.bounds import (
     soliton_optimal_s,
     sup_bound_branch,
     sup_bound_closed,
-    sup_bound_grid,
 )
 from wittengap.report import (
     SCHEMA_VERSION,
@@ -696,7 +695,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         "K": args.K,
         "d": args.d,
         "sup_closed": sup_bound_closed(inp),
-        "sup_grid": sup_bound_grid(inp, args.grid_size),
+        "sup_grid": float(GridSweep([args.K], [args.d], args.grid_size).finish()[0, 0]),
         "branch": branch,
         "s_star": s_star,
         "gap_at_half": float(gap_expression(0.5, args.K, args.d)),
@@ -710,23 +709,20 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_ou(args: argparse.Namespace) -> int:
-    if args.K is None or args.d is None:
-        print("error: ou needs --K and --d", file=sys.stderr)
-        return 2
     if args.verify:
         rep = verify_comparison(args.K, args.d, m=args.m)
         _emit(rep.to_json(), args.out)
         return 0 if rep.passed else 1
     obj = {"schema": SCHEMA_VERSION, "K": args.K, "d": args.d, "m": args.m}
-    # the shift check needs both values; each problem is solved once
-    if args.check_shift or args.bc in ("neumann", "both"):
+    if args.bc in ("neumann", "both"):
         obj["lambda_neumann"] = neumann_lambda1(args.K, args.d, m=args.m)
-    if args.check_shift or args.bc in ("dirichlet", "both"):
+    if args.bc in ("dirichlet", "both"):
         obj["lambda_dirichlet"] = dirichlet_lambda1(args.K, args.d, m=args.m)
-    if args.check_shift:
-        lam_n, lam_d = obj["lambda_neumann"], obj["lambda_dirichlet"]
-        obj["shift_defect"] = abs(lam_n - args.K - lam_d)
-        obj["shift_defect_rel"] = abs(lam_n - args.K - lam_d) / max(1.0, abs(lam_n))
+    if args.bc == "both":
+        # the shift identity lambda_N = K + lambda_D, read off the two solves
+        lam_n = obj["lambda_neumann"]
+        obj["shift_defect"] = abs(lam_n - args.K - obj["lambda_dirichlet"])
+        obj["shift_defect_rel"] = obj["shift_defect"] / max(1.0, abs(lam_n))
     _emit(canonical_json(obj), args.out)
     return 0
 
@@ -762,30 +758,21 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
     _check_floor("--points", args.points, 64)
     if args.gaussian:
         rep = case_gaussian()
-        _emit(rep.to_json(), args.out)
-        return 0 if rep.passed else 1
-    if args.al is not None:
-        p, q = args.al
+    elif args.circle:
+        curve = circle_shrinker(args.lam, args.n)
+        rep = case_circle_shrinker(curve)
+    else:
         log: list = []
-        curve = find_abresch_langer(args.lam, p, q, n_points=args.points, log=log)
+        curve = find_abresch_langer(args.lam, *args.al, n_points=args.points, log=log)
         rep = case_rosette(args.points, curve)
-        if args.export:
-            write_curve_csv(curve, args.export)
         if args.log:
             with open(args.log, "w") as fh:
                 for entry in log:
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        _emit(rep.to_json(), args.out)
-        return 0 if rep.passed else 1
-    if args.circle:
-        curve = circle_shrinker(args.lam, args.n)
-        rep = case_circle_shrinker(curve)
-        if args.export:
-            write_curve_csv(curve, args.export)
-        _emit(rep.to_json(), args.out)
-        return 0 if rep.passed else 1
-    print("error: shrinker needs one of --circle, --al P Q, --gaussian", file=sys.stderr)
-    return 2
+    if args.export and not args.gaussian:
+        write_curve_csv(curve, args.export)
+    _emit(rep.to_json(), args.out)
+    return 0 if rep.passed else 1
 
 
 def _stray_reports(out_dir: str) -> list[str]:
@@ -851,8 +838,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", parents=[common], help="gap and diameter bounds")
     p_bounds.add_argument("--K", type=float, help="curvature lower bound")
     p_bounds.add_argument("--d", type=float, help="diameter")
-    p_bounds.add_argument("--grid", action="store_true", help="CSV sweep closed vs grid")
-    p_bounds.add_argument("--soliton", action="store_true", help="soliton diameter bounds")
+    bounds_mode = p_bounds.add_mutually_exclusive_group()
+    bounds_mode.add_argument("--grid", action="store_true", help="CSV sweep closed vs grid")
+    bounds_mode.add_argument("--soliton", action="store_true", help="soliton diameter bounds")
     p_bounds.add_argument("--lambda", dest="lam", type=float, help="soliton constant")
     p_bounds.add_argument(
         "--grid-size", dest="grid_size", type=int, default=SUP_GRID_SIZE, help="s-grid size"
@@ -860,12 +848,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_ou = sub.add_parser("ou", parents=[common], help="interval comparison operator")
-    p_ou.add_argument("--K", type=float, help="drift coefficient")
-    p_ou.add_argument("--d", type=float, help="interval length")
+    p_ou.add_argument("--K", type=float, required=True, help="drift coefficient")
+    p_ou.add_argument("--d", type=float, required=True, help="interval length")
     p_ou.add_argument("--m", type=int, default=OU_M, help="cell count before extrapolation")
-    p_ou.add_argument("--bc", choices=("neumann", "dirichlet", "both"), default="both")
-    p_ou.add_argument("--check-shift", dest="check_shift", action="store_true")
-    p_ou.add_argument("--verify", action="store_true", help="certify the gap bound")
+    ou_mode = p_ou.add_mutually_exclusive_group()
+    ou_mode.add_argument("--bc", choices=("neumann", "dirichlet", "both"), default="both")
+    ou_mode.add_argument("--verify", action="store_true", help="certify the gap bound")
     p_ou.set_defaults(func=cmd_ou)
 
     p_spec = sub.add_parser("spectral", parents=[common], help="weighted complex spectra")
@@ -883,9 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=cmd_spectral)
 
     p_shr = sub.add_parser("shrinker", parents=[common], help="self-shrinking curves")
-    p_shr.add_argument("--circle", action="store_true")
-    p_shr.add_argument("--al", nargs=2, type=int, metavar=("P", "Q"))
-    p_shr.add_argument("--gaussian", action="store_true")
+    shrinker_mode = p_shr.add_mutually_exclusive_group(required=True)
+    shrinker_mode.add_argument("--circle", action="store_true")
+    shrinker_mode.add_argument("--al", nargs=2, type=int, metavar=("P", "Q"))
+    shrinker_mode.add_argument("--gaussian", action="store_true")
     p_shr.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p_shr.add_argument("--n", type=int, default=CIRCLE_N, help="circle point count")
     p_shr.add_argument("--points", type=int, default=ROSETTE_POINTS, help="rosette node count")

@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bounds import _check_count
 from .spectral import WeightedComplex, _ring, apply_weight, witten_apply
 
 __all__ = [
@@ -166,6 +167,7 @@ def circle_shrinker(lam: float, n_points: int) -> ShrinkerCurve:
     sqrt(lam); the unit circle mapped by ``_scaled``."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam!r}")
+    _check_count("n_points", n_points)
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
     alpha = 2.0 * math.pi * np.arange(n_points) / n_points
@@ -356,6 +358,7 @@ def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
     velocity <x, T> at the end of the integrated arc, which vanishes
     where the arc meets its symmetry line at a right angle.
     """
+    _check_count("n_points", n_points)
     q, root = arc.q, math.sqrt(arc.lam)
     psi = math.pi * arc.p / q
     J = max(int(round(n_points / (2 * q))), 16)

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .bounds import _check_count
 from .sturm import EXPONENT_GUARD, MeasureUnderflowError
 
 if TYPE_CHECKING:
@@ -92,8 +93,9 @@ _OPENBLAS_THREAD_CALLS = (
 
 class EigensolverConvergenceError(RuntimeError):
     """The sparse eigensolver did not deliver a resolved lambda_1: it hit its
-    restart cap, failed in ARPACK or the shifted factor, or returned a
-    lambda_1 below what the shift resolves."""
+    restart cap, failed in ARPACK or the shifted factor, returned a kernel
+    eigenvalue that does not separate from the rest of the spectrum, or
+    returned a lambda_1 below what the shift resolves."""
 
 
 @dataclass
@@ -246,6 +248,7 @@ def build_weighted_circle(n: int, radius: float = 1.0) -> WeightedComplex:
     the standard second-difference discretization of d^2/ds^2 along
     arclength; ``apply_weight`` adds a potential.
     """
+    _check_count("n", n)
     if n < 8:
         raise ValueError(f"need at least 8 vertices on a circle, got {n}")
     if not (math.isfinite(radius) and radius > 0.0):
@@ -324,6 +327,7 @@ def build_icosphere(subdivisions: int) -> WeightedComplex:
     mass is one third of the adjacent triangle area.  All triangles of
     this family are acute, so the conductances stay positive.
     """
+    _check_count("subdivisions", subdivisions)
     if not 0 <= subdivisions <= 7:
         raise ValueError(f"subdivisions must be in 0..7, got {subdivisions}")
     vertices = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
@@ -505,7 +509,8 @@ def lambda1_witten(complex_: WeightedComplex) -> SpectralResult:
     positive definite matrix, and no pivot can vanish.  The order is
     computed once per graph, so reweighted copies of one mesh share it.
     ``N_EIGS + 1`` eigenvalues are computed and the kernel is dropped
-    after checking that it separates.  The Lanczos basis is ``KRYLOV_DIM``
+    after checking that it separates; one that does not raises
+    ``EigensolverConvergenceError``.  The Lanczos basis is ``KRYLOV_DIM``
     wide so that repeated eigenvalues come out with their multiplicity,
     and the start vector is fixed, so the solve is deterministic.
     ``ARPACK_TOL`` is ARPACK's relative accuracy and
@@ -574,7 +579,9 @@ def lambda1_witten(complex_: WeightedComplex) -> SpectralResult:
         values, vectors = values[ascending], vectors[:, ascending]
         zero_scale = abs(values[0]) / max(1.0, abs(values[-1]))
         if zero_scale > 1e-8:
-            raise RuntimeError(f"kernel eigenvalue did not separate: {values[:2]}")
+            raise EigensolverConvergenceError(
+                f"kernel eigenvalue did not separate: {values[:2]}"
+            )
         eigenvalues = np.asarray(values[1:], dtype=np.float64)
         lam1 = float(eigenvalues[0])
         if lam1 < abs(SHIFT) * ARPACK_TOL:

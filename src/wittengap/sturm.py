@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundInput, andrews_ni_bound, futaki_sano_bound, sup_bound_closed
+from .bounds import BoundInput, _check_count, andrews_ni_bound, futaki_sano_bound, sup_bound_closed
 from .report import VerificationReport, lower, make_report
 
 __all__ = [
@@ -170,8 +170,7 @@ class OUProblem:
             raise IntervalLengthError(
                 f"interval length d = {self.d!r} is too large: d^2 overflows float64"
             )
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
-            raise ValueError(f"cell count m must be an integer, got {self.m!r}")
+        _check_count("cell count m", self.m)
         if self.m < 8:
             raise ValueError(f"cell count m must be at least 8, got {self.m}")
         h = self.d / self.m

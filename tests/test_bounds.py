@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import wittengap.bounds as bounds
 from wittengap.bounds import (
     BoundInput,
+    GridSweep,
     ShrinkerBoundInput,
     SolitonInput,
     andrews_ni_bound,
@@ -29,8 +30,6 @@ from wittengap.bounds import (
     soliton_optimal_s,
     sup_bound_branch,
     sup_bound_closed,
-    sup_bound_grid,
-    sup_bound_grid_sweep,
     _sweep_columns,
 )
 
@@ -75,7 +74,7 @@ def test_grid_oracle_spot_checks():
     for K, d in [(-7.0, 3.0), (-1.0, 0.5), (0.0, 2.0), (0.5, 5.0), (4.0, 1.0), (10.0, 20.0)]:
         inp = BoundInput(K=K, d=d)
         closed = sup_bound_closed(inp)
-        grid = sup_bound_grid(inp, 10**6)
+        grid = GridSweep([K], [d], 10**6).finish()[0, 0]
         assert abs(closed - grid) <= 1e-6 * max(1.0, abs(closed))
 
 
@@ -104,7 +103,7 @@ BIT_IDENTITY_POINTS = [
 def test_grid_oracle_is_bit_identical_to_the_dense_maximum(grid_size):
     # the blocked oracle forms each value as the one-shot expression does
     for K, d in BIT_IDENTITY_POINTS:
-        assert sup_bound_grid(BoundInput(K=K, d=d), grid_size) == dense_grid_sup(K, d, grid_size)
+        assert GridSweep([K], [d], grid_size).finish()[0, 0] == dense_grid_sup(K, d, grid_size)
 
 
 @pytest.mark.parametrize("grid_size", [1, 2**15 - 1, 2**15, 2**15 + 1, 10**6])
@@ -112,7 +111,7 @@ def test_grid_sweep_is_bit_identical_to_the_dense_maximum(grid_size):
     # one sweep over every K x d pair of the points, not only the listed pairs
     k_values = [K for K, _ in BIT_IDENTITY_POINTS]
     d_values = [d for _, d in BIT_IDENTITY_POINTS]
-    best = sup_bound_grid_sweep(k_values, d_values, grid_size)
+    best = GridSweep(k_values, d_values, grid_size).finish()
     assert best.shape == (len(k_values), len(d_values))
     for i, K in enumerate(k_values):
         for j, d in enumerate(d_values):
@@ -127,7 +126,7 @@ def test_grid_sweep_split_by_d_is_bit_identical(monkeypatch, cpus, n_d):
     grid_size = 2**15 + 1
     k_values = [K for K, _ in BIT_IDENTITY_POINTS]
     d_values = [d for _, d in BIT_IDENTITY_POINTS[:n_d]]
-    best = sup_bound_grid_sweep(k_values, d_values, grid_size)
+    best = GridSweep(k_values, d_values, grid_size).finish()
     assert best.shape == (len(k_values), n_d)
     for i, K in enumerate(k_values):
         for j, d in enumerate(d_values):
@@ -136,15 +135,15 @@ def test_grid_sweep_split_by_d_is_bit_identical(monkeypatch, cpus, n_d):
 
 ONE_CPU_SWEEP = """
 import json, os, sys
-from wittengap.bounds import sup_bound_grid_sweep
+from wittengap.bounds import GridSweep
 forks = []
 os.register_at_fork(before=lambda: forks.append(None))
 cpus = os.sched_getaffinity(0)
 os.sched_setaffinity(0, {min(cpus)})
-best = sup_bound_grid_sweep(*json.loads(sys.argv[1]))
+best = GridSweep(*json.loads(sys.argv[1])).finish()
 one_cpu_forks = len(forks)
 os.sched_setaffinity(0, cpus)
-sup_bound_grid_sweep(*json.loads(sys.argv[1]))
+GridSweep(*json.loads(sys.argv[1])).finish()
 print(best.tobytes().hex(), one_cpu_forks, len(cpus), len(forks) - one_cpu_forks)
 """
 
@@ -187,10 +186,10 @@ def test_grid_sweep_raises_a_worker_exception(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(bounds, "_sweep_columns", _sweep_columns_failing_in_workers)
     with pytest.raises(RuntimeError, match="worker chunk failed"):
-        sup_bound_grid_sweep([0.0, 1.0], [1.0, 2.0, 3.0], 100)
+        GridSweep([0.0, 1.0], [1.0, 2.0, 3.0], 100).finish()
     assert multiprocessing.active_children() == []
     # one column runs in this process only, so the same patch passes
-    assert sup_bound_grid_sweep([0.0, 1.0], [1.0], 100)[1, 0] == dense_grid_sup(1.0, 1.0, 100)
+    assert GridSweep([0.0, 1.0], [1.0], 100).finish()[1, 0] == dense_grid_sup(1.0, 1.0, 100)
 
 
 _COLUMN_LOG = None
@@ -213,7 +212,7 @@ def test_grid_sweep_workers_sweep_every_column_below_the_callers_priority(
     k_values = [K for K, _ in BIT_IDENTITY_POINTS]
     d_values = [d for _, d in BIT_IDENTITY_POINTS[:8]]
     grid_size = 2**15 + 1
-    best = sup_bound_grid_sweep(k_values, d_values, grid_size)
+    best = GridSweep(k_values, d_values, grid_size).finish()
     rows = [line.split() for line in (tmp_path / "columns").read_text().splitlines()]
     assert sorted(float(d) for _, _, d in rows) == sorted(d_values)
     # at most two workers, as many as the CPUs, and never this process
@@ -227,19 +226,19 @@ def test_grid_sweep_workers_sweep_every_column_below_the_callers_priority(
 
 def test_grid_sweep_validates_every_pair():
     with pytest.raises(ValueError):
-        sup_bound_grid_sweep([0.0, math.nan], [1.0], 10)
+        GridSweep([0.0, math.nan], [1.0], 10).finish()
     with pytest.raises(ValueError, match="diameter d out of range"):
-        sup_bound_grid_sweep([0.0], [1.0, 1e-200], 10)
+        GridSweep([0.0], [1.0, 1e-200], 10).finish()
     with pytest.raises(ValueError):
-        sup_bound_grid_sweep([0.0], [1.0], 0)
+        GridSweep([0.0], [1.0], 0).finish()
     # a grid size that is not an integer is named, not left to numpy
     for grid_size in (1e6, 100.0, True, "100"):
         with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {grid_size!r}")):
-            sup_bound_grid_sweep([0.0], [1.0], grid_size)
+            GridSweep([0.0], [1.0], grid_size).finish()
     with pytest.raises(ValueError, match=re.escape("must be an integer, got 1000000.0")):
-        sup_bound_grid(BoundInput(1.0, 1.0), 1e6)
+        GridSweep([1.0], [1.0], 1e6).finish()
     # a numpy integer is an integer
-    assert sup_bound_grid(BoundInput(1.0, 1.0), np.int64(100)) == dense_grid_sup(1.0, 1.0, 100)
+    assert GridSweep([1.0], [1.0], np.int64(100)).finish()[0, 0] == dense_grid_sup(1.0, 1.0, 100)
 
 
 def test_gap_expression_matches_the_written_out_formula():
@@ -256,10 +255,10 @@ def test_grid_oracle_allocates_no_full_grid_per_call():
     k_values, d_values = np.linspace(-10.0, 10.0, 5), np.linspace(0.1, 20.0, 5)
     # a one-point sweep first imports and starts the fork pool machinery,
     # whose allocations are no grid's, so the test passes run alone too
-    sup_bound_grid_sweep(k_values, d_values, 1)
+    GridSweep(k_values, d_values, 1).finish()
     calls = [
-        lambda: sup_bound_grid(inp, 10**6 - 1),
-        lambda: sup_bound_grid_sweep(k_values, d_values, 10**6 - 2),
+        lambda: GridSweep([inp.K], [inp.d], 10**6 - 1).finish(),
+        lambda: GridSweep(k_values, d_values, 10**6 - 2).finish(),
         # tracemalloc sees this process only; a forked worker runs _sweep_columns
         lambda: _sweep_columns(list(k_values), list(d_values), 10**6 - 3),
     ]
@@ -287,7 +286,7 @@ def test_closed_form_dominates_every_member(K, d, s):
 @settings(max_examples=200, deadline=None)
 def test_grid_never_exceeds_closed_form(K, d):
     inp = BoundInput(K=K, d=d)
-    assert sup_bound_grid(inp, 10**4) <= sup_bound_closed(inp) + 1e-12
+    assert GridSweep([K], [d], 10**4).finish()[0, 0] <= sup_bound_closed(inp) + 1e-12
 
 
 @given(K=ks, d=ds)
@@ -412,7 +411,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         ShrinkerBoundInput(lam=-1.0, K0=1.0)
     with pytest.raises(ValueError):
-        sup_bound_grid(BoundInput(K=0.0, d=1.0), 0)
+        GridSweep([0.0], [1.0], 0).finish()
 
 
 @pytest.mark.parametrize("d", [1e-200, 1e-160, 1e200])

@@ -218,7 +218,7 @@ def test_ou_flat_value(capsys):
 
 
 def test_ou_check_shift(capsys):
-    rc, out, _ = run_cli(capsys, "ou", "--K", "1", "--d", "2", "--m", "400", "--check-shift")
+    rc, out, _ = run_cli(capsys, "ou", "--K", "1", "--d", "2", "--m", "400")
     assert rc == 0
     obj = json.loads(out)
     assert obj["shift_defect"] <= 1e-7
@@ -228,7 +228,7 @@ def test_ou_check_shift(capsys):
 def test_ou_corner_of_the_box_prints_positive_eigenvalues(capsys):
     # at K = -10, d = 20 the Neumann value is about 1.8e-215; LAPACK
     # bisection printed round-off noise of either sign here
-    rc, out, _ = run_cli(capsys, "ou", "--K", "-10", "--d", "20", "--check-shift")
+    rc, out, _ = run_cli(capsys, "ou", "--K", "-10", "--d", "20")
     assert rc == 0
     obj = json.loads(out)
     assert 0.0 < obj["lambda_neumann"] < 1e-200
@@ -238,16 +238,21 @@ def test_ou_corner_of_the_box_prints_positive_eigenvalues(capsys):
     assert json.loads(out)["computed"]["lambda1_ou"] > 0.0
 
 
-@pytest.mark.parametrize("bc", ["both", "neumann", "dirichlet"])
-def test_ou_check_shift_solves_each_problem_once(capsys, monkeypatch, bc):
+@pytest.mark.parametrize(
+    "bc, solves",
+    [("both", (1, 1)), ("neumann", (1, 0)), ("dirichlet", (0, 1))],
+    ids=["both", "neumann", "dirichlet"],
+)
+def test_ou_solves_each_problem_once(capsys, monkeypatch, bc, solves):
+    # each printed eigenvalue is one solve; both also prints the shift defect
     calls = count_calls(monkeypatch, [cli], ["neumann_lambda1", "dirichlet_lambda1"])
-    rc, out, _ = run_cli(
-        capsys, "ou", "--K", "1", "--d", "2", "--m", "100", "--bc", bc, "--check-shift"
-    )
+    rc, out, _ = run_cli(capsys, "ou", "--K", "1", "--d", "2", "--m", "100", "--bc", bc)
     assert rc == 0
-    assert calls == {"neumann_lambda1": 1, "dirichlet_lambda1": 1}
+    assert calls == dict(zip(("neumann_lambda1", "dirichlet_lambda1"), solves))
     obj = json.loads(out)
-    assert {"lambda_neumann", "lambda_dirichlet", "shift_defect"} <= set(obj)
+    printed = {"lambda_neumann": solves[0], "lambda_dirichlet": solves[1]}
+    assert {key for key, n in printed.items() if n} == set(obj) & set(printed)
+    assert ({"shift_defect", "shift_defect_rel"} <= set(obj)) == (bc == "both")
 
 
 def test_comparison_grid_solves_each_flat_problem_once(monkeypatch):
@@ -276,9 +281,10 @@ def test_ou_verify_passes(capsys):
 
 
 def test_ou_missing_args(capsys):
-    rc, _, err = run_cli(capsys, "ou", "--K", "1")
-    assert rc == 2
-    assert "error:" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ou", "--K", "1"])
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_spectral_coarse_circle_fails(capsys, tmp_path):
@@ -540,9 +546,43 @@ def test_shrinker_rosette_index_out_of_range_exits_one(capsys, p, q):
 
 
 def test_shrinker_needs_a_mode(capsys):
-    rc, _, err = run_cli(capsys, "shrinker")
-    assert rc == 2
-    assert "error:" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["shrinker"])
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["shrinker", "--circle", "--gaussian"], ["--circle", "--gaussian"]),
+        (["shrinker", "--al", "2", "3", "--circle"], ["--al", "--circle"]),
+        (["shrinker"], ["--circle", "--al", "--gaussian"]),
+        (["bounds", "--grid", "--soliton"], ["--grid", "--soliton"]),
+        (["ou", "--K", "1"], ["--d"]),
+        (["ou", "--K", "1", "--d", "2", "--verify", "--bc", "dirichlet"], ["--verify", "--bc"]),
+        (["ou", "--K", "1", "--d", "2", "--check-shift"], ["--check-shift"]),
+    ],
+    ids=[
+        "shrinker-circle-gaussian",
+        "shrinker-al-circle",
+        "shrinker-no-mode",
+        "bounds-grid-soliton",
+        "ou-no-d",
+        "ou-verify-bc",
+        "ou-check-shift",
+    ],
+)
+def test_parser_refuses_conflicting_or_missing_mode_flags(capsys, argv, flags):
+    # one mode per command: argparse refuses the rest before anything runs
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    message = err.splitlines()[-1]
+    assert message.startswith("wittengap") and ": error: " in message
+    assert all(flag in message for flag in flags), message
 
 
 def test_bad_flags_exit_two():

@@ -10,7 +10,10 @@ MODULES = (bounds, report, shrinkers, spectral, sturm)
 
 def test_package_all_is_the_modules_all_in_order():
     assert wittengap.__all__ == [name for module in MODULES for name in module.__all__]
-    assert len(set(wittengap.__all__)) == len(wittengap.__all__) == 63
+    assert len(set(wittengap.__all__)) == len(wittengap.__all__) == 61
+    # GridSweep is the one s-grid oracle; its two former aliases are gone
+    for name in ("sup_bound_grid", "sup_bound_grid_sweep"):
+        assert name not in wittengap.__all__ and not hasattr(bounds, name)
 
 
 def test_every_export_is_the_defining_modules_object():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -233,6 +234,30 @@ def test_circle_out_of_float_range_is_refused_by_name(n_points, lam):
     with pytest.raises(ValueError, match=r"lam = .* is outside \[.*\], where this curve"):
         circle_shrinker(lam, n_points)
 
+
+
+@pytest.mark.parametrize("n_points", [100.5, 100.0, True, "100"])
+def test_circle_point_count_must_be_an_integer(n_points):
+    # 100.5 died inside numpy with a TypeError
+    message = re.escape(f"n_points must be an integer, got {n_points!r}")
+    with pytest.raises(ValueError, match=message):
+        circle_shrinker(1.0, n_points)
+    # a numpy integer is an integer
+    curve = circle_shrinker(1.0, np.int64(100))
+    assert np.array_equal(curve.points, circle_shrinker(1.0, 100).points)
+
+
+@pytest.mark.parametrize("n_points", [1000.5, 1000.0, True, "1000"])
+def test_rosette_node_count_must_be_an_integer(rosette23, n_points):
+    # 1000.5 assembled 1002 nodes, and True 96
+    message = re.escape(f"n_points must be an integer, got {n_points!r}")
+    with pytest.raises(ValueError, match=message):
+        assemble_rosette(rosette23.arc, n_points)
+    with pytest.raises(ValueError, match=message):
+        find_abresch_langer(1.0, 2, 3, n_points=n_points)
+    # a numpy integer is an integer
+    curve = assemble_rosette(rosette23.arc, np.int64(1000))
+    assert np.array_equal(curve.points, assemble_rosette(rosette23.arc, 1000).points)
 
 @pytest.mark.parametrize("lam", [4.0, 0.3, 7.5])
 def test_arc_scales_exactly_with_lam(lam):

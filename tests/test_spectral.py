@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -410,6 +411,38 @@ def test_eigensolver_restart_cap(monkeypatch):
         lambda1_witten(build_icosphere(1))
     assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
 
+
+
+def test_kernel_that_does_not_separate_is_a_named_error(monkeypatch):
+    # a spectrum whose lowest value is far from zero has no kernel to drop
+    def no_kernel(A, k, **kwargs):
+        n = A.shape[0]
+        return np.linspace(0.5, 3.0, k), np.eye(n, k)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_kernel)
+    with pytest.raises(EigensolverConvergenceError, match="kernel eigenvalue did not separate"):
+        lambda1_witten(build_weighted_circle(64))
+
+
+@pytest.mark.parametrize("n", [100.5, 100.0, True, "100"])
+def test_circle_vertex_count_must_be_an_integer(n):
+    # 100.5 died inside numpy with a TypeError
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+        build_weighted_circle(n)
+    # a numpy integer is an integer
+    ring = build_weighted_circle(np.int64(100))
+    assert np.array_equal(ring.vertices, build_weighted_circle(100).vertices)
+
+
+@pytest.mark.parametrize("subdivisions", [1.0, 2.5, True, "1"])
+def test_icosphere_subdivisions_must_be_an_integer(subdivisions):
+    # True built the 42-vertex sub-1 sphere
+    with pytest.raises(
+        ValueError, match=re.escape(f"subdivisions must be an integer, got {subdivisions!r}")
+    ):
+        build_icosphere(subdivisions)
+    # a numpy integer is an integer
+    assert np.array_equal(build_icosphere(np.int64(1)).vertices, build_icosphere(1).vertices)
 
 @pytest.mark.parametrize(
     "n, radius, match",
