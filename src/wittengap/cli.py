@@ -664,15 +664,7 @@ def run_suite() -> list[VerificationReport]:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    _check_floor("--grid-size", args.grid_size, 100)
-    if args.grid:
-        rows = sweep_closed_vs_grid(start_closed_vs_grid(args.grid_size))
-        _emit(format_sweep_csv(rows), args.out)
-        return 0
     if args.soliton:
-        if args.lam is None:
-            print("error: --soliton requires --lambda", file=sys.stderr)
-            return 2
         sdb = soliton_diameter_bounds(SolitonInput(lam=args.lam))
         obj = {
             "schema": SCHEMA_VERSION,
@@ -685,9 +677,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         }
         _emit(canonical_json(obj), args.out)
         return 0
-    if args.K is None or args.d is None:
-        print("error: bounds needs --K and --d, or --grid, or --soliton", file=sys.stderr)
-        return 2
+    _check_floor("--grid-size", args.grid_size, 100)
+    if args.grid:
+        rows = sweep_closed_vs_grid(start_closed_vs_grid(args.grid_size))
+        _emit(format_sweep_csv(rows), args.out)
+        return 0
     inp = BoundInput(K=args.K, d=args.d)
     branch, s_star = sup_bound_branch(inp)
     obj = {
@@ -755,13 +749,13 @@ def cmd_spectral(args: argparse.Namespace) -> int:
 
 
 def cmd_shrinker(args: argparse.Namespace) -> int:
-    _check_floor("--points", args.points, 64)
     if args.gaussian:
         rep = case_gaussian()
     elif args.circle:
         curve = circle_shrinker(args.lam, args.n)
         rep = case_circle_shrinker(curve)
     else:
+        _check_floor("--points", args.points, 64)
         log: list = []
         curve = find_abresch_langer(args.lam, *args.al, n_points=args.points, log=log)
         rep = case_rosette(args.points, curve)
@@ -769,7 +763,7 @@ def cmd_shrinker(args: argparse.Namespace) -> int:
             with open(args.log, "w") as fh:
                 for entry in log:
                     fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    if args.export and not args.gaussian:
+    if args.export:
         write_curve_csv(curve, args.export)
     _emit(rep.to_json(), args.out)
     return 0 if rep.passed else 1
@@ -825,12 +819,34 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ModeParser(argparse.ArgumentParser):
+    """Parser of a command whose ``modes`` map each mode flag (None: no mode
+    flag) to the options that mode reads and their defaults (``...``:
+    required).  Those options parse to None; one given to a mode that does
+    not read it, or a required one left out, is a usage error (exit 2)."""
+
+    modes: dict = {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        dest = {flag: a.dest for a in self._actions for flag in a.option_strings}
+        mode = next((m for m in self.modes if m and getattr(namespace, dest[m])), None)
+        where = f"by {mode}" if mode else "without " + " or ".join(filter(None, self.modes))
+        for flag in dict.fromkeys(f for options in self.modes.values() for f in options):
+            given, reads = getattr(namespace, dest[flag]) is not None, self.modes[mode]
+            if given and flag not in reads or not given and reads.get(flag) is ...:
+                self.error(f"argument {flag}: {'not read' if given else 'required'} {where}")
+            if not given:
+                setattr(namespace, dest[flag], reads.get(flag))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wittengap",
         description="verification suites for drift-Laplacian gap and diameter bounds",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ModeParser)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output file (default: stdout)")
@@ -842,10 +858,10 @@ def build_parser() -> argparse.ArgumentParser:
     bounds_mode.add_argument("--grid", action="store_true", help="CSV sweep closed vs grid")
     bounds_mode.add_argument("--soliton", action="store_true", help="soliton diameter bounds")
     p_bounds.add_argument("--lambda", dest="lam", type=float, help="soliton constant")
-    p_bounds.add_argument(
-        "--grid-size", dest="grid_size", type=int, default=SUP_GRID_SIZE, help="s-grid size"
-    )
+    p_bounds.add_argument("--grid-size", dest="grid_size", type=int, help="s-grid size")
     p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.modes = {"--grid": {"--grid-size": SUP_GRID_SIZE}, "--soliton": {"--lambda": ...}}
+    p_bounds.modes[None] = {"--K": ..., "--d": ..., "--grid-size": SUP_GRID_SIZE}
 
     p_ou = sub.add_parser("ou", parents=[common], help="interval comparison operator")
     p_ou.add_argument("--K", type=float, required=True, help="drift coefficient")
@@ -875,14 +891,19 @@ def build_parser() -> argparse.ArgumentParser:
     shrinker_mode.add_argument("--circle", action="store_true")
     shrinker_mode.add_argument("--al", nargs=2, type=int, metavar=("P", "Q"))
     shrinker_mode.add_argument("--gaussian", action="store_true")
-    p_shr.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p_shr.add_argument("--n", type=int, default=CIRCLE_N, help="circle point count")
-    p_shr.add_argument("--points", type=int, default=ROSETTE_POINTS, help="rosette node count")
+    p_shr.add_argument("--lambda", dest="lam", type=float, help="shrinker constant")
+    p_shr.add_argument("--n", type=int, help="circle point count")
+    p_shr.add_argument("--points", type=int, help="rosette node count")
     p_shr.add_argument("--export", help="write the curve as CSV")
     p_shr.add_argument(
         "--log", help="write the root-finding log as JSONL, one line per Brent evaluation"
     )
     p_shr.set_defaults(func=cmd_shrinker)
+    p_shr.modes = {
+        "--circle": {"--lambda": 1.0, "--n": CIRCLE_N, "--export": None},
+        "--al": {"--lambda": 1.0, "--points": ROSETTE_POINTS, "--export": None, "--log": None},
+        "--gaussian": {},
+    }
 
     p_all = sub.add_parser("verify-all", help="full certification suite")
     p_all.add_argument("--out", default="reports", help="report directory (default: reports)")

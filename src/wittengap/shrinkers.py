@@ -19,13 +19,13 @@ tangent angle: the support function P = sqrt(lam) <x, N> solves
 P'' + P = 1/P, and closure is a condition on its half-period, one
 quadrature per trial, solved by Brent's method (Brent, *Algorithms for
 Minimization without Derivatives*, 1973).  ``assemble_rosette`` then
-integrates the fundamental arc once by DOP853 and joins 2q reflected
-copies of it at any node count.  With ``circle_shrinker`` these are the
-only constructors, so every ``ShrinkerCurve`` is closed.  Both build the
-curve at lam = 1 and map it by the exact scaling x -> x / sqrt(lam),
-k -> sqrt(lam) k, so every check reads the same dimensionless curve at
-any lam; a lam that would carry the curve out of the normal float range
-is refused by name.
+integrates the fundamental arc once by classical RK4 and joins 2q
+reflected copies of it at any node count, on numpy and ``math`` alone.
+With ``circle_shrinker`` these are the only constructors, so every
+``ShrinkerCurve`` is closed.  Both build the curve at lam = 1 and
+map it by the exact scaling x -> x / sqrt(lam), k -> sqrt(lam) k, so
+every check reads the same dimensionless curve at any lam; a lam that
+would carry the curve out of the normal float range is refused by name.
 
 Every closed curve carries the potential phi = lam |x|^2 / 2 - 1/2,
 which the drift Laplacian of the induced weighted ring complex maps to
@@ -70,17 +70,16 @@ _QUAD_NODES = 128
 _TURNING_BRACKET = (1e-6, 0.99)
 # largest closure residual an assembled rosette may have
 TOL_CLOSURE = 1e-8
-# DOP853 tolerances of the fundamental-arc integration: rtol just above
-# solve_ivp's floor of 100 eps, atol far below every state of the arc,
-# which is always integrated at lam = 1
-_RTOL = 3e-14
-_ATOL = 1e-16
+# largest RK4 step of the fundamental-arc integration, in the lam = 1
+# units where every arc is integrated, and the most steps one arc may take
+_MAX_STEP = 2.0**-11
+_MAX_SUBSTEPS = 2**20
 _TINY = float(np.finfo(np.float64).tiny)
 _HUGE = float(np.finfo(np.float64).max)
 
 
 class ArcIntegrationError(RuntimeError):
-    """The adaptive integrator stopped before the end of the arc."""
+    """An arc needs over ``_MAX_SUBSTEPS`` steps, or its state left the float range."""
 
 
 @dataclass
@@ -216,28 +215,42 @@ def _scaled(curve: ShrinkerCurve, lam: float) -> ShrinkerCurve:
     )
 
 
-def _integrate(lam: float, r0: float, length: float, n_steps: int):
+def _integrate(lam: float, r0: float, length: float, n_steps: int) -> np.ndarray:
     """States (xs1, xs2, ths) at ``n_steps + 1`` uniform arclength nodes
-    on [0, length], from x = (r0, 0), th = pi/2: one DOP853 solve
-    (Hairer, Norsett & Wanner, *Solving ODEs I*)."""
-    from scipy.integrate import solve_ivp  # loads scipy.optimize too
+    on [0, length], from x = (r0, 0), th = pi/2: classical RK4 with
+    ceil(spacing / _MAX_STEP) equal steps per node interval."""
+    ratio = length / n_steps / _MAX_STEP
+    if not 0.0 < ratio <= _MAX_SUBSTEPS // n_steps:
+        raise ArcIntegrationError(f"arc length {length!r} needs over {_MAX_SUBSTEPS} steps")
+    substeps = math.ceil(ratio)
+    h = length / n_steps / substeps
+    half, sixth, cos, sin = 0.5 * h, h / 6.0, math.cos, math.sin
+    x1, x2, th = r0, 0.0, 0.5 * math.pi
+    nodes = [(x1, x2, th)]
+    try:
+        for _ in range(n_steps):
+            for _ in range(substeps):
+                c1, s1 = cos(th), sin(th)
+                k1 = lam * (x1 * s1 - x2 * c1)
+                c2, s2 = cos(th + half * k1), sin(th + half * k1)
+                k2 = lam * ((x1 + half * c1) * s2 - (x2 + half * s1) * c2)
+                c3, s3 = cos(th + half * k2), sin(th + half * k2)
+                k3 = lam * ((x1 + half * c2) * s3 - (x2 + half * s2) * c3)
+                c4, s4 = cos(th + h * k3), sin(th + h * k3)
+                k4 = lam * ((x1 + h * c3) * s4 - (x2 + h * s3) * c4)
+                x1 += sixth * (c1 + 2.0 * (c2 + c3) + c4)
+                x2 += sixth * (s1 + 2.0 * (s2 + s3) + s4)
+                th += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            nodes.append((x1, x2, th))
+    except ValueError:  # math.cos of an infinite angle
+        nodes.append((math.nan,) * 3)
+    if not np.isfinite(nodes).all():
+        raise ArcIntegrationError(f"the arc from r0 = {r0!r} left the finite float range")
+    return np.array(nodes).T
 
-    def rhs(_s, y):
-        c, s = math.cos(y[2]), math.sin(y[2])
-        return [c, s, lam * (y[0] * s - y[1] * c)]
 
-    y0, nodes = [r0, 0.0, 0.5 * math.pi], np.linspace(0.0, length, n_steps + 1)
-    sol = solve_ivp(
-        rhs, (0.0, length), y0, method="DOP853", t_eval=nodes, rtol=_RTOL, atol=_ATOL
-    )
-    if not sol.success:
-        raise ArcIntegrationError(f"arc integration failed: {sol.message}")
-    return sol.y
-
-
-def _curvature_of(lam: float, xs1, xs2, ths) -> np.ndarray:
-    x1, x2, th = np.asarray(xs1), np.asarray(xs2), np.asarray(ths)
-    return lam * (x1 * np.sin(th) - x2 * np.cos(th))
+def _curvature_of(lam: float, xs1: np.ndarray, xs2: np.ndarray, ths: np.ndarray) -> np.ndarray:
+    return lam * (xs1 * np.sin(ths) - xs2 * np.cos(ths))
 
 
 def first_integral(lam: float, points: np.ndarray, curvatures: np.ndarray) -> np.ndarray:
@@ -257,6 +270,46 @@ def _angle_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.sin(v) ** 2, np.cos(v) ** 2, 0.25 * math.pi * w * np.sin(2.0 * v)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method: a line-for-line port of
+    scipy's C ``brentq`` with rtol = 4 eps and 100 iterations, so it takes
+    the same iterates and returns the same bits.  Raises ``ValueError``
+    when f has one sign at both ends, ``RuntimeError`` if not converged."""
+    xpre, xcur, fpre, fcur = xa, xb, f(xa), f(xb)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 2.0**-50 * abs(xcur)) / 2.0  # rtol = 4 eps
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in 100 iterations, at {xcur!r}")
+
+
 def _half_period(a: float, rule) -> tuple[float, float]:
     """Tangent-angle advance and arclength at lam = 1 between the turning
     points a < 1 < b of P'' + P = 1/P.
@@ -272,14 +325,12 @@ def _half_period(a: float, rule) -> tuple[float, float]:
     V(a) - V(P) is formed from the nearer turning point, so neither end
     cancels.
     """
-    from scipy.optimize import brentq
-
     def gap_from_a(rise):  # 2 (V(a) - V(a + rise))
         return 2.0 * np.log1p(rise / a) - rise * (2.0 * a + rise)
 
     # V'' >= 1 puts b below 1 + sqrt(2 (V(a) - V(1))) < 1 + sqrt(2 V(a))
     b_max = 1.0 + math.sqrt(a * a - 2.0 * math.log(a))
-    b = brentq(lambda P: gap_from_a(P - a), 1.0, b_max, xtol=1e-15)
+    b = _brentq(lambda P: gap_from_a(P - a), 1.0, b_max, xtol=1e-15)
     sin2, cos2, weights = rule
     rise, fall = (b - a) * sin2, (b - a) * cos2  # P = a + rise = b - fall
     near_a = sin2 <= 0.5
@@ -298,7 +349,7 @@ def find_abresch_langer(
     runs between the turning points a < 1 < b of P = sqrt(lam) <x, N>,
     and the rosette closes when that half-period equals pi p / q.  The
     half-period rises monotonically from pi/2 (a -> 0) to pi/sqrt(2)
-    (a -> 1), so Brent's method (``scipy.optimize.brentq``) finds its
+    (a -> 1), so Brent's method (``_brentq``, a port of scipy's) finds its
     single root in a fixed bracket of a by quadrature alone; r0 is
     a / sqrt(lam), and the arclength comes from the same quadrature.
     ``assemble_rosette`` integrates the arc once and checks its closure
@@ -322,8 +373,6 @@ def find_abresch_langer(
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"lam must be positive, got {lam!r}")
 
-    from scipy.optimize import brentq  # 16 MB and 0.3 s to import; only rosettes need it
-
     root_lam = math.sqrt(lam)
     psi = math.pi * p / q
     rule = _angle_rule(_QUAD_NODES)
@@ -336,7 +385,7 @@ def find_abresch_langer(
         return g
 
     try:
-        a = brentq(closure, *_TURNING_BRACKET, xtol=1e-14)
+        a = _brentq(closure, *_TURNING_BRACKET, xtol=1e-14)
     except ValueError:
         raise ValueError(
             f"closure functional has the same sign at both bracket ends: ({p}, {q}) "
@@ -349,11 +398,11 @@ def find_abresch_langer(
 def assemble_rosette(arc: FundamentalArc, n_points: int) -> ShrinkerCurve:
     """Closed rosette of about ``n_points`` nodes from its fundamental arc.
 
-    The arc, scaled to lam = 1, is integrated once by DOP853 and sampled
+    The arc, scaled to lam = 1, is integrated once by RK4 and sampled
     at J = n_points / (2 q) uniform nodes, the closed curve is 2q
     alternately reflected copies of it, and ``_scaled`` maps it to
-    ``arc.lam``.  Raises ``ArcIntegrationError`` when the integrator
-    fails, and ``RuntimeError`` when the closure residual, in lam = 1
+    ``arc.lam``.  Raises ``ArcIntegrationError`` from ``_integrate``,
+    and ``RuntimeError`` when the closure residual, in lam = 1
     units, exceeds ``TOL_CLOSURE``: the worst joint gap, or the radial
     velocity <x, T> at the end of the integrated arc, which vanishes
     where the arc meets its symmetry line at a right angle.

@@ -202,11 +202,16 @@ def test_bounds_grid_csv(capsys):
 
 
 def test_bounds_missing_args(capsys):
-    rc, _, err = run_cli(capsys, "bounds")
-    assert rc == 2
-    assert "error:" in err
-    rc, _, err = run_cli(capsys, "bounds", "--soliton")
-    assert rc == 2
+    for argv, message in (
+        (["bounds"], "argument --K: required without --grid or --soliton"),
+        (["bounds", "--K", "1"], "argument --d: required without --grid or --soliton"),
+        (["bounds", "--soliton"], "argument --lambda: required by --soliton"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == f"wittengap bounds: error: {message}"
 
 
 def test_ou_flat_value(capsys):
@@ -399,7 +404,7 @@ def test_shrinker_rosette_exports(capsys, tmp_path):
 
 @pytest.fixture()
 def rosette_work(monkeypatch):
-    """Counts rosette root-finding quadratures and DOP853 arc integrations.
+    """Counts rosette root-finding quadratures and RK4 arc integrations.
 
     Returns the live counters, reset to zero, and the counts that one
     find_abresch_langer(1.0, 2, 3) takes.
@@ -585,6 +590,49 @@ def test_parser_refuses_conflicting_or_missing_mode_flags(capsys, argv, flags):
     assert all(flag in message for flag in flags), message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shrinker", "--circle", "--points", "10"], "argument --points: not read by --circle"),
+        (["shrinker", "--circle", "--log", "x.jsonl"], "argument --log: not read by --circle"),
+        (["shrinker", "--al", "2", "3", "--n", "64"], "argument --n: not read by --al"),
+        (["shrinker", "--gaussian", "--export", "g.csv"],
+         "argument --export: not read by --gaussian"),
+        (["shrinker", "--gaussian", "--lambda", "2"], "argument --lambda: not read by --gaussian"),
+        (["bounds", "--K", "1", "--d", "2", "--lambda", "1"],
+         "argument --lambda: not read without --grid or --soliton"),
+        (["bounds", "--grid", "--K", "1", "--grid-size", "100"],
+         "argument --K: not read by --grid"),
+        (["bounds", "--soliton", "--lambda", "1", "--d", "2"],
+         "argument --d: not read by --soliton"),
+        (["bounds", "--soliton", "--lambda", "1", "--grid-size", "100"],
+         "argument --grid-size: not read by --soliton"),
+    ],
+    ids=[
+        "shrinker-circle-points",
+        "shrinker-circle-log",
+        "shrinker-al-n",
+        "shrinker-gaussian-export",
+        "shrinker-gaussian-lambda",
+        "bounds-point-lambda",
+        "bounds-grid-K",
+        "bounds-soliton-d",
+        "bounds-soliton-grid-size",
+    ],
+)
+def test_parser_refuses_a_flag_the_mode_does_not_read(capsys, tmp_path, monkeypatch, argv, message):
+    # each of these exited 0 or 1 and ignored the flag, and the export and
+    # log paths were never written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"wittengap {argv[0]}: error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_flags_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["bounds", "--no-such-flag"])
@@ -653,6 +701,44 @@ def test_interval_commands_do_not_load_scipy():
     assert result["pools"] == []
     assert result["before"] == []
     assert result["after"] is True
+
+
+# Runs both curve shrinker modes in a fresh interpreter, records whether
+# scipy.integrate or scipy.optimize was loaded, then runs one mesh solve as a
+# positive control.
+SHRINKER_SCRIPT = """
+import contextlib, io, json, sys
+from wittengap import cli
+unwanted = ("scipy.integrate", "scipy.optimize")
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.main(["shrinker", "--al", "2", "3"]), cli.main(["shrinker", "--circle"])]
+    before = [m for m in unwanted if m in sys.modules]
+    rcs.append(cli.main(["spectral", "--case", "circle", "--n", "1000"]))
+print(json.dumps({
+    "rcs": rcs, "before": before, "after": "scipy.sparse.linalg" in sys.modules,
+    "still": [m for m in unwanted if m in sys.modules],
+}))
+"""
+
+
+def test_shrinker_commands_do_not_load_scipy_integrate_or_optimize():
+    # the rosette is shot and assembled on numpy and math alone; the two
+    # modules cost about 20 MB of resident memory and 0.35 s to import
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", SHRINKER_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rcs"] == [0, 0, 0]
+    assert result["before"] == []
+    assert result["after"] is True
+    assert result["still"] == []
 
 
 def test_verify_all_determinism_and_failure_report(capsys, tmp_path, tiny_suite):

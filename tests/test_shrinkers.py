@@ -6,12 +6,11 @@ import os
 import re
 import subprocess
 import sys
-import types
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,7 +147,7 @@ def test_fixed_bracket_needs_one_brent_run():
 
 
 def test_root_find_integrates_nothing_and_repeats_no_quadrature(monkeypatch):
-    # Brent's evaluations are quadratures only; the single DOP853 integration
+    # Brent's evaluations are quadratures only; the single RK4 integration
     # is the assembly after the root-find
     log, quadratures, integrations = [], [], []
     half_period, integrate = shrinkers._half_period, shrinkers._integrate
@@ -169,6 +168,68 @@ def test_root_find_integrates_nothing_and_repeats_no_quadrature(monkeypatch):
     assert len(set(quadratures[:-1])) == len(log)
     assert quadratures[-1] in quadratures[:-1]
     assert integrations == [len(log)]
+
+
+# every admissible (p, q) with q <= 15
+ADMISSIBLE_PAIRS = [
+    (p, q)
+    for q in range(3, 16)
+    for p in range(2, q)
+    if math.gcd(p, q) == 1 and 0.5 < p / q < math.sqrt(2.0) / 2.0
+]
+
+
+def test_brent_port_takes_the_iterates_of_scipys_brentq(monkeypatch):
+    # both roots, the turning point b inside each half-period and the
+    # closure root, are found by the port and by scipy from the same
+    # function: the trial points and the root must agree bit for bit
+    from scipy.optimize import brentq
+
+    port, runs = shrinkers._brentq, []
+
+    def traced(f, trials):
+        def g(x):
+            trials.append(x)
+            return f(x)
+
+        return g
+
+    def both(f, xa, xb, xtol):
+        ours, theirs = [], []
+        root = port(traced(f, ours), xa, xb, xtol)
+        assert brentq(traced(f, theirs), xa, xb, xtol=xtol) == root
+        assert ours == theirs
+        runs.append(len(ours))
+        return root
+
+    monkeypatch.setattr(shrinkers, "_brentq", both)
+    for p, q in ADMISSIBLE_PAIRS:
+        find_abresch_langer(1.0, p, q, n_points=64)
+    # one closure run per pair, and a turning-point run per evaluation
+    assert len(ADMISSIBLE_PAIRS) == 14 and len(runs) > 14 * 10
+
+
+def test_rk4_nodes_match_a_dop853_solve():
+    # the fundamental arc of every admissible pair at its default node
+    # count, against scipy's DOP853 at rtol 3e-14: the worst node differs
+    # by 1.75e-12, in the angle of the (8, 15) arc
+    from scipy.integrate import solve_ivp
+
+    def rhs(_s, y):
+        c, s = math.cos(y[2]), math.sin(y[2])
+        return [c, s, y[0] * s - y[1] * c]
+
+    for p, q in ADMISSIBLE_PAIRS:
+        arc = find_abresch_langer(1.0, p, q, n_points=64).arc
+        J = round(4096 / (2 * q))
+        nodes = np.linspace(0.0, arc.length, J + 1)
+        reference = solve_ivp(
+            rhs, (0.0, arc.length), [arc.r0, 0.0, 0.5 * math.pi], method="DOP853",
+            t_eval=nodes, rtol=3e-14, atol=1e-16,
+        )
+        assert reference.success
+        states = shrinkers._integrate(1.0, arc.r0, arc.length, J)
+        assert np.abs(states - reference.y).max() <= 2.5e-12, (p, q)
 
 
 def test_pair_outside_the_bracket_is_rejected():
@@ -214,6 +275,17 @@ def test_arc_matches_the_rk4_shooting():
     assert arc.length == pytest.approx(2.4892487587150676, rel=1e-12)
 
 
+# the (2, 3) rosette's curve-residual note at each scale; at lam = 1 it
+# reads 1.887e-15
+CURVE_RESIDUAL_NOTES = {
+    1e-300: "curve residual 1.899e-15",
+    1e-14: "curve residual 2.118e-15",
+    2000.0: "curve residual 2.065e-15",
+    1e6: "curve residual 2.046e-15",
+    1e300: "curve residual 1.817e-15",
+}
+
+
 @pytest.mark.parametrize("lam", [1e-300, 1e-14, 2000.0, 1e6, 1e300])
 def test_rosette_margins_do_not_depend_on_scale(rosette23, lam):
     # every gate is dimensionless: the curve at lam is the lam = 1 curve
@@ -223,10 +295,10 @@ def test_rosette_margins_do_not_depend_on_scale(rosette23, lam):
     for name, margin in unit.margins.items():
         assert scaled.margins[name] == pytest.approx(margin, rel=1e-4, abs=1e-11), name
     # so is the curve-residual note; it is itself a few eps, so its scaled
-    # value moves in the leading digits (1.998e-15 at lam = 1, 1.899e-15 at 1e-300)
-    assert unit.notes[-1] == "curve residual 1.998e-15"
-    residual = float(scaled.notes[-1].removeprefix("curve residual "))
-    assert residual == pytest.approx(1.998e-15, rel=0.1, abs=0.0)
+    # value moves in the leading digits, and each scale's is pinned: without
+    # its 1/sqrt(lam) it would read 2e-22 at lam = 1e-14 and 8e-14 at 2000
+    assert unit.notes[-1] == "curve residual 1.887e-15"
+    assert scaled.notes[-1] == CURVE_RESIDUAL_NOTES[lam]
 
 
 @pytest.mark.parametrize("n_points, lam", [(1000, 1e-320), (1000, 1e303), (16, 1e307)])
@@ -277,15 +349,25 @@ def test_closure_gate_rejects_a_perturbed_arc(rosette23, field, factor):
         assemble_rosette(arc, 512)
 
 
-def test_failed_arc_integration_is_a_named_error(rosette23, monkeypatch):
-    # an integrator that stops early must fail the assembly, not leave a
-    # short arc for the closure gate to judge
-    def failed_solve(*args, **kwargs):
-        return types.SimpleNamespace(success=False, message="step size underflow", y=None)
+def test_arc_too_long_for_the_step_cap_is_a_named_error(rosette23):
+    # a fixed step would take 1e300 / 2**-11 steps over this arc; the step
+    # cap refuses it, and a length that is no positive float, before the
+    # first step rather than after a hang
+    for length in (1e300, math.inf, math.nan, -1.0):
+        arc = dataclasses.replace(rosette23.arc, length=length)
+        start = time.perf_counter()
+        with pytest.raises(shrinkers.ArcIntegrationError, match="needs over 1048576 steps"):
+            assemble_rosette(arc, 512)
+        assert time.perf_counter() - start < 1.0
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed_solve)
-    with pytest.raises(shrinkers.ArcIntegrationError, match="step size underflow"):
-        assemble_rosette(rosette23.arc, 512)
+
+def test_state_that_leaves_the_float_range_is_a_named_error():
+    # the curvature lam <x, N> of a start at 1e300 overflows in the first
+    # step, and makes an angle whose cosine math refuses; a start at nan
+    # raises nothing on the way
+    for lam, r0 in ((1e10, 1e300), (1.0, math.nan)):
+        with pytest.raises(shrinkers.ArcIntegrationError, match="left the finite float range"):
+            shrinkers._integrate(lam, r0, 1.0, 16)
 
 
 def test_coarse_rosette_from_shared_arc_is_bit_identical(rosette23):
