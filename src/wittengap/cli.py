@@ -13,13 +13,15 @@ Subcommands
 Reports carry ``schema: 1`` and serialize with sorted keys and no
 timestamps, so identical configurations produce byte-identical output.
 Exit codes: 0 when every margin passes, 1 for a failed case or internal
-error, 2 for invalid flags.  ``verify-all`` always runs the certified
-resolutions (``SUP_GRID_SIZE``, ``OU_M``, ``CIRCLE_N``,
-``SPHERE_SUBDIVISIONS``, ``ROSETTE_POINTS``) and takes only ``--out``, its
-report directory (default ``reports``); it refuses a directory holding a
-``*.json`` that the directory's ``summary.json`` does not list.  The
-single-case subcommands take resolution flags that default to those
-constants, and each report records its resolution in ``inputs``.
+error, 2 for invalid flags.  Each subcommand's ``modes`` name the options
+each mode reads; any other option given to that mode exits 2.
+``verify-all`` always runs the certified resolutions (``SUP_GRID_SIZE``,
+``OU_M``, ``CIRCLE_N``, ``SPHERE_SUBDIVISIONS``, ``ROSETTE_POINTS``) and
+takes only ``--out``, its report directory (default ``reports``); it
+refuses a directory holding a ``*.json`` that the directory's
+``summary.json`` does not list.  The single-case subcommands take
+resolution flags that default to those constants, and each report
+records its resolution in ``inputs``.
 """
 
 from __future__ import annotations
@@ -722,18 +724,15 @@ def cmd_ou(args: argparse.Namespace) -> int:
 
 
 def cmd_spectral(args: argparse.Namespace) -> int:
-    _check_floor("--n", args.n, 16)
-    if args.case == "circle":
+    if args.circle:
+        _check_floor("--n", args.n, 16)
         _check_radius(args.radius)
         comp = build_weighted_circle(args.n, radius=args.radius)
         case = functools.partial(case_circle_spectrum, args.radius)
-    elif args.case == "sphere":
+    elif args.sphere:
         comp = build_icosphere(args.subdivisions)
         case = functools.partial(case_sphere_round, args.subdivisions)
     else:
-        if args.a is None:
-            print("error: --case sphere-height requires --a", file=sys.stderr)
-            return 2
         _check_height_coefficient(args.a)
         mesh = build_icosphere(args.subdivisions)
         comp = apply_weight(mesh, args.a * mesh.vertices[:, 2])
@@ -823,14 +822,16 @@ class _ModeParser(argparse.ArgumentParser):
     """Parser of a command whose ``modes`` map each mode flag (None: no mode
     flag) to the options that mode reads and their defaults (``...``:
     required).  Those options parse to None; one given to a mode that does
-    not read it, or a required one left out, is a usage error (exit 2)."""
+    not read it, or a required one left out, is a usage error (exit 2).  A
+    mode flag is given unless it is None or False by identity (0.0 == False)."""
 
     modes: dict = {}
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         dest = {flag: a.dest for a in self._actions for flag in a.option_strings}
-        mode = next((m for m in self.modes if m and getattr(namespace, dest[m])), None)
+        values = {m: getattr(namespace, dest[m]) for m in self.modes if m}
+        mode = next((m for m, v in values.items() if v is not None and v is not False), None)
         where = f"by {mode}" if mode else "without " + " or ".join(filter(None, self.modes))
         for flag in dict.fromkeys(f for options in self.modes.values() for f in options):
             given, reads = getattr(namespace, dest[flag]) is not None, self.modes[mode]
@@ -867,24 +868,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_ou.add_argument("--K", type=float, required=True, help="drift coefficient")
     p_ou.add_argument("--d", type=float, required=True, help="interval length")
     p_ou.add_argument("--m", type=int, default=OU_M, help="cell count before extrapolation")
-    ou_mode = p_ou.add_mutually_exclusive_group()
-    ou_mode.add_argument("--bc", choices=("neumann", "dirichlet", "both"), default="both")
-    ou_mode.add_argument("--verify", action="store_true", help="certify the gap bound")
+    p_ou.add_argument("--bc", choices=("neumann", "dirichlet", "both"))
+    p_ou.add_argument("--verify", action="store_true", help="certify the gap bound")
     p_ou.set_defaults(func=cmd_ou)
+    p_ou.modes = {"--verify": {}, None: {"--bc": "both"}}
 
     p_spec = sub.add_parser("spectral", parents=[common], help="weighted complex spectra")
-    p_spec.add_argument("--case", choices=("circle", "sphere", "sphere-height"), required=True)
-    p_spec.add_argument("--n", type=int, default=CIRCLE_N, help="circle vertex count")
-    p_spec.add_argument("--radius", type=float, default=1.0)
-    p_spec.add_argument("--a", type=float, help="height weight coefficient")
-    p_spec.add_argument(
-        "--subdivisions", type=int, default=SPHERE_SUBDIVISIONS, help="icosphere subdivisions"
-    )
+    spectral_mode = p_spec.add_mutually_exclusive_group(required=True)
+    spectral_mode.add_argument("--circle", action="store_true")
+    spectral_mode.add_argument("--sphere", action="store_true")
+    spectral_mode.add_argument("--sphere-height", dest="a", type=float, help="height coefficient")
+    p_spec.add_argument("--n", type=int, help="circle vertex count")
+    p_spec.add_argument("--radius", type=float)
+    p_spec.add_argument("--subdivisions", type=int, help="icosphere subdivisions")
     p_spec.add_argument("--export-off", dest="export_off", help="write the complex as OFF")
     p_spec.add_argument(
         "--export-eigenvector", dest="export_eigenvector", help="write the eigenvector as CSV"
     )
     p_spec.set_defaults(func=cmd_spectral)
+    circle, sphere = {"--n": CIRCLE_N, "--radius": 1.0}, {"--subdivisions": SPHERE_SUBDIVISIONS}
+    p_spec.modes = {"--circle": circle, "--sphere": sphere, "--sphere-height": sphere}
 
     p_shr = sub.add_parser("shrinker", parents=[common], help="self-shrinking curves")
     shrinker_mode = p_shr.add_mutually_exclusive_group(required=True)

@@ -88,8 +88,8 @@ def count_calls(monkeypatch, modules, names):
     [
         ("bounds", "--K", "1", "--d", "1", "--grid-size", "99"),
         ("ou", "--K", "1", "--d", "2", "--m", "7"),
-        ("spectral", "--case", "circle", "--n", "15"),
-        ("spectral", "--case", "sphere", "--subdivisions", "8"),
+        ("spectral", "--circle", "--n", "15"),
+        ("spectral", "--sphere", "--subdivisions", "8"),
         ("shrinker", "--circle", "--n", "15"),
         ("shrinker", "--al", "2", "3", "--points", "63"),
     ],
@@ -104,16 +104,9 @@ def test_resolution_flag_below_its_floor_exits_one(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_resolution_flag_of_another_mode_is_not_checked(capsys):
-    # build_icosphere checks --subdivisions, and a circle builds no icosphere
-    rc, out, _ = run_cli(capsys, "spectral", "--case", "circle", "--subdivisions", "9")
-    assert rc == 0
-    assert json.loads(out)["case_id"] == "circle-spectrum-r=1"
-
-
 @pytest.mark.parametrize("line", ["tol_circle_rel = 1", "k_min = 0"])
 @pytest.mark.parametrize(
-    "argv", [("verify-all",), ("spectral", "--case", "circle", "--n", "64")], ids=lambda a: a[0]
+    "argv", [("verify-all",), ("spectral", "--circle", "--n", "64")], ids=lambda a: a[0]
 )
 def test_config_cannot_set_certified_constants(tmp_path, line, argv):
     # tolerances, the (K, d) box and the verify-all resolutions are part of
@@ -294,9 +287,7 @@ def test_ou_missing_args(capsys):
 
 def test_spectral_coarse_circle_fails(capsys, tmp_path):
     out_file = tmp_path / "circle.json"
-    rc, _, _ = run_cli(
-        capsys, "spectral", "--case", "circle", "--n", "64", "--out", str(out_file)
-    )
+    rc, _, _ = run_cli(capsys, "spectral", "--circle", "--n", "64", "--out", str(out_file))
     assert rc == 1
     obj = json.loads(out_file.read_text())
     assert obj["pass"] is False
@@ -308,7 +299,7 @@ def test_spectral_sphere_height_exports(capsys, tmp_path):
     vec = tmp_path / "vec.csv"
     rc, out, _ = run_cli(
         capsys,
-        "spectral", "--case", "sphere-height", "--a", "0.3", "--subdivisions", "2",
+        "spectral", "--sphere-height", "0.3", "--subdivisions", "2",
         "--export-off", str(off), "--export-eigenvector", str(vec),
     )
     assert rc == 0
@@ -327,7 +318,7 @@ def test_spectral_builds_and_solves_once(capsys, monkeypatch, tmp_path):
     calls = count_calls(monkeypatch, [cli, spectral], ["build_icosphere", "lambda1_witten"])
     rc, _, _ = run_cli(
         capsys,
-        "spectral", "--case", "sphere-height", "--a", "0.3", "--subdivisions", "2",
+        "spectral", "--sphere-height", "0.3", "--subdivisions", "2",
         "--export-off", str(tmp_path / "mesh.off"),
         "--export-eigenvector", str(tmp_path / "vec.csv"),
     )
@@ -352,18 +343,125 @@ def test_suite_shares_the_round_sphere(monkeypatch, tiny):
 
 
 def test_spectral_height_requires_a(capsys):
-    rc, _, err = run_cli(capsys, "spectral", "--case", "sphere-height")
-    assert rc == 2
-    assert "requires --a" in err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["spectral", "--sphere-height"])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "wittengap spectral: error: argument --sphere-height: expected one argument"
+    )
+
+
+@pytest.mark.parametrize(
+    "token, case_id",
+    [
+        (["--sphere-height", "0"], "sphere-height-a=0"),
+        (["--sphere-height", "-0.0"], "sphere-height-a=-0"),
+        (["--sphere-height=-1e-05"], "sphere-height-a=-1e-05"),
+    ],
+    ids=["zero", "negative-zero", "negative-exponent"],
+)
+def test_spectral_height_mode_is_chosen_by_presence(capsys, token, case_id):
+    # 0.0 == False, so a mode flag is given when it is neither None nor False
+    rc, out, err = run_cli(capsys, "spectral", *token, "--subdivisions", "1")
+    assert err == ""
+    assert rc == 0
+    assert json.loads(out)["case_id"] == case_id
 
 
 def test_spectral_rejects_bad_a_before_building(capsys, monkeypatch):
     calls = count_calls(monkeypatch, [cli, spectral], ["build_icosphere"])
-    rc, out, err = run_cli(capsys, "spectral", "--case", "sphere-height", "--a", "1.0")
+    rc, out, err = run_cli(capsys, "spectral", "--sphere-height", "1.0")
     assert rc == 1
     assert out == ""
     assert "height coefficient a must satisfy |a| < 1" in err
     assert calls == {"build_icosphere": 0}
+
+
+def hand_built(lambda1, cluster_size=3):
+    """A solve result built by hand, so a case's gates run with no solve."""
+    return spectral.SpectralResult(
+        lambda1=lambda1,
+        cluster_size=cluster_size,
+        multiplicity_gap=0.5,
+        eigenvector=np.zeros(0),
+        residual=0.0,
+    )
+
+
+# negative controls: each spectral gate fails just past its tolerance, written
+# here as a literal, and passes just inside it
+@pytest.mark.parametrize(
+    "lambda1, passed",
+    [(1.0 + 2e-4, False), (1.0 - 2e-4, False), (1.0 + 5e-5, True), (1.0 - 5e-5, True)],
+)
+def test_circle_gates_turn_red_past_their_tolerance(lambda1, passed):
+    circle = spectral.build_weighted_circle(16)
+    rep = cli.case_circle_spectrum(1.0, circle, hand_built(lambda1, cluster_size=2))
+    for gate in ("lambda1_vs_curvature", "flat_interval_equality"):
+        assert rep.tolerances[gate] == 1e-4
+        assert (rep.margins[gate] >= -1e-4) is passed
+    assert rep.passed is passed
+
+
+@pytest.mark.parametrize(
+    "lambda1, cluster_size, failing",
+    [
+        (2.0 * (1.0 + 2e-2), 3, {"lambda1_vs_two"}),
+        (2.0 * (1.0 - 2e-2), 3, {"lambda1_vs_two"}),
+        (2.0, 2, {"cluster_multiplicity"}),
+        (2.0, 4, {"cluster_multiplicity"}),
+        (2.0 * (1.0 + 5e-3), 3, set()),
+        (2.0 * (1.0 - 5e-3), 3, set()),
+    ],
+)
+def test_sphere_gates_turn_red_past_their_tolerance(lambda1, cluster_size, failing):
+    mesh = spectral.build_icosphere(1)
+    rep = cli.case_sphere_round(1, mesh, hand_built(lambda1, cluster_size))
+    assert rep.tolerances == {"lambda1_vs_two": 1e-2, "cluster_multiplicity": 0.0}
+    assert {k for k, m in rep.margins.items() if m < -rep.tolerances[k]} == failing
+    assert rep.passed is not failing
+
+
+@pytest.mark.parametrize("below, passed", [(2e-2, False), (5e-3, True), (0.0, True)])
+def test_height_gate_turns_red_past_its_tolerance(below, passed):
+    # at a = 0.5 the gate is lambda_1 >= sup_closed(K = 0.5, d = pi), tolerance
+    # 1e-2 max(1, lambda_1)
+    bound = bounds.sup_bound_closed(bounds.BoundInput(K=0.5, d=math.pi))
+    lambda1 = bound - below * max(1.0, bound)
+    mesh = spectral.build_icosphere(1)
+    weighted = spectral.apply_weight(mesh, 0.5 * mesh.vertices[:, 2])
+    rep = cli.case_sphere_height(1, 0.5, weighted, hand_built(lambda1))
+    assert rep.bounds["sup_closed"] == bound
+    assert rep.tolerances["gap_vs_sup_closed"] == 1e-2 * max(1.0, lambda1)
+    assert rep.passed is passed
+
+
+# the single-case commands of the CI byte check, by the case id they write
+HEIGHTS = ("0", "0.3", "0.5", "0.9")
+SINGLE_CASE_COMMANDS = {
+    **{f"sphere-height-a={a}": ["spectral", "--sphere-height", a] for a in HEIGHTS},
+    "sphere-round": ["spectral", "--sphere"],
+    "circle-spectrum-r=1": ["spectral", "--circle", "--radius", "1"],
+    "circle-spectrum-r=2": ["spectral", "--circle", "--radius", "2"],
+    "shrinker-circle": ["shrinker", "--circle"],
+    "shrinker-rosette-2-3": ["shrinker", "--al", "2", "3"],
+    "gaussian-soliton": ["shrinker", "--gaussian"],
+}
+
+
+def test_single_case_commands_write_the_suite_report_bytes(capsys, tmp_path, tiny):
+    # each command's defaults are the suite's resolutions, so it writes the
+    # bytes of the same-id verify-all report, passing or not
+    suite = {rep.case_id: rep for rep in run_suite()}
+    assert len(SINGLE_CASE_COMMANDS) == 10
+    for case_id, argv in SINGLE_CASE_COMMANDS.items():
+        path = tmp_path / f"{case_id}.json"
+        rc = main([*argv, "--out", str(path)])
+        assert path.read_bytes() == suite[case_id].to_json().encode(), case_id
+        assert rc == (0 if suite[case_id].passed else 1), case_id
+    assert capsys.readouterr().out == ""
 
 
 def test_shrinker_circle_scales_with_lambda(capsys):
@@ -499,8 +597,8 @@ FLOAT_FLAG_RUNS = {
     "ou-d": (["ou", "--K", "1"], "--d"),
     "ou-verify-K": (["ou", "--verify", "--d", "1"], "--K"),
     "ou-verify-d": (["ou", "--verify", "--K", "1"], "--d"),
-    "spectral-radius": (["spectral", "--case", "circle"], "--radius"),
-    "spectral-a": (["spectral", "--case", "sphere-height", "--subdivisions", "2"], "--a"),
+    "spectral-radius": (["spectral", "--circle"], "--radius"),
+    "spectral-a": (["spectral", "--subdivisions", "2"], "--sphere-height"),
 }
 
 
@@ -567,6 +665,10 @@ def test_shrinker_needs_a_mode(capsys):
         (["ou", "--K", "1"], ["--d"]),
         (["ou", "--K", "1", "--d", "2", "--verify", "--bc", "dirichlet"], ["--verify", "--bc"]),
         (["ou", "--K", "1", "--d", "2", "--check-shift"], ["--check-shift"]),
+        (["spectral"], ["--circle", "--sphere", "--sphere-height"]),
+        (["spectral", "--circle", "--sphere"], ["--circle", "--sphere"]),
+        (["spectral", "--case", "circle"], ["--circle", "--sphere", "--sphere-height"]),
+        (["spectral", "--circle", "--a", "0.3"], ["--a"]),
     ],
     ids=[
         "shrinker-circle-gaussian",
@@ -576,6 +678,10 @@ def test_shrinker_needs_a_mode(capsys):
         "ou-no-d",
         "ou-verify-bc",
         "ou-check-shift",
+        "spectral-no-mode",
+        "spectral-circle-sphere",
+        "spectral-old-case",
+        "spectral-old-a",
     ],
 )
 def test_parser_refuses_conflicting_or_missing_mode_flags(capsys, argv, flags):
@@ -607,6 +713,14 @@ def test_parser_refuses_conflicting_or_missing_mode_flags(capsys, argv, flags):
          "argument --d: not read by --soliton"),
         (["bounds", "--soliton", "--lambda", "1", "--grid-size", "100"],
          "argument --grid-size: not read by --soliton"),
+        (["spectral", "--circle", "--subdivisions", "9"],
+         "argument --subdivisions: not read by --circle"),
+        (["spectral", "--sphere", "--n", "20"], "argument --n: not read by --sphere"),
+        (["spectral", "--sphere", "--radius", "5"], "argument --radius: not read by --sphere"),
+        (["spectral", "--sphere-height", "0.3", "--n", "20"],
+         "argument --n: not read by --sphere-height"),
+        (["spectral", "--sphere-height", "0.3", "--radius", "2"],
+         "argument --radius: not read by --sphere-height"),
     ],
     ids=[
         "shrinker-circle-points",
@@ -618,6 +732,11 @@ def test_parser_refuses_conflicting_or_missing_mode_flags(capsys, argv, flags):
         "bounds-grid-K",
         "bounds-soliton-d",
         "bounds-soliton-grid-size",
+        "spectral-circle-subdivisions",
+        "spectral-sphere-n",
+        "spectral-sphere-radius",
+        "spectral-height-n",
+        "spectral-height-radius",
     ],
 )
 def test_parser_refuses_a_flag_the_mode_does_not_read(capsys, tmp_path, monkeypatch, argv, message):
@@ -638,7 +757,7 @@ def test_bad_flags_exit_two():
         main(["bounds", "--no-such-flag"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
-        main(["spectral", "--case", "torus"])
+        main(["spectral", "--torus"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -675,7 +794,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["bounds", "--K", "1", "--d", "2"]),
     ]
     before = sorted(m for m in sys.modules if m.startswith("scipy"))
-    rcs.append(cli.main(["spectral", "--case", "circle", "--n", "1000"]))
+    rcs.append(cli.main(["spectral", "--circle", "--n", "1000"]))
 print(json.dumps({
     "rcs": rcs, "pools": pools, "before": before, "after": "scipy.sparse.linalg" in sys.modules
 }))
@@ -713,7 +832,7 @@ unwanted = ("scipy.integrate", "scipy.optimize")
 with contextlib.redirect_stdout(io.StringIO()):
     rcs = [cli.main(["shrinker", "--al", "2", "3"]), cli.main(["shrinker", "--circle"])]
     before = [m for m in unwanted if m in sys.modules]
-    rcs.append(cli.main(["spectral", "--case", "circle", "--n", "1000"]))
+    rcs.append(cli.main(["spectral", "--circle", "--n", "1000"]))
 print(json.dumps({
     "rcs": rcs, "before": before, "after": "scipy.sparse.linalg" in sys.modules,
     "still": [m for m in unwanted if m in sys.modules],
@@ -920,7 +1039,7 @@ def test_bounds_rejects_a_diameter_out_of_float_range(capsys, d):
 def test_spectral_rejects_a_radius_out_of_float_range(capsys, monkeypatch, radius):
     # 1/r^2 overflowed at 1e200; the range is checked before the circle is built
     calls = count_calls(monkeypatch, [cli], ["build_weighted_circle"])
-    rc, out, err = run_cli(capsys, "spectral", "--case", "circle", "--radius", radius)
+    rc, out, err = run_cli(capsys, "spectral", "--circle", "--radius", radius)
     assert rc == 1
     assert out == ""
     assert err.startswith("error: radius out of range")
@@ -929,7 +1048,7 @@ def test_spectral_rejects_a_radius_out_of_float_range(capsys, monkeypatch, radiu
 
 @pytest.mark.parametrize("radius", ["1e7", "1e20", "1e100", "1e-100"])
 def test_spectral_circle_the_solver_cannot_resolve_exits_one(capsys, radius):
-    rc, out, err = run_cli(capsys, "spectral", "--case", "circle", "--radius", radius)
+    rc, out, err = run_cli(capsys, "spectral", "--circle", "--radius", radius)
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "shift -0.001" in err
